@@ -3,7 +3,7 @@
 Subcommands: ``enrich`` (compute article metadata), ``recommend`` (baseline
 ranking files), ``evaluate`` (score one divergence/weighting setup) and
 ``sensitivity`` (sweep divergence x weighting x cutoffs).  Exit codes: 0 on
-success, 1 on input errors, 2 on internal errors.
+success, 1 on input and usage errors, 2 on internal errors.
 """
 from __future__ import annotations
 
@@ -12,38 +12,21 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_io
-from .config import RunConfig, load_config_file
+from .config import _PATH_KEYS, OPTION_KEYS, RunConfig, load_config_file
+from .distrib import SCHEMES
+from .divergence import KINDS
 from .enrich import dump_enriched, enrich_corpus, load_gazetteer, load_lexicon, load_sidecar
 from .errors import InputError
-from .evaluate import build_grid, evaluate_recommendations
-from .recommenders import click_counts, recommend_popular, recommend_random
+from .evaluate import POOLS, build_grid, evaluate_recommendations
+from .recommenders import BASELINES, click_counts, recommend_popular, recommend_random
 from .report import aggregate_rows, write_report, write_samples_csv, write_skips
 
-_OPTION_KEYS = (
-    "news",
-    "bodies",
-    "behaviors",
-    "lexicon",
-    "gazetteer",
-    "sidecar",
-    "out",
-    "recommenders",
-    "divergence",
-    "weighting",
-    "divergences",
-    "weightings",
-    "cutoffs",
-    "alpha",
-    "bins",
-    "activation_bins",
-    "complexity_bins",
-    "pairs",
-    "seed",
-    "pool",
-    "workers",
-    "tau",
-    "window_days",
-)
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors, so that they exit 1."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -60,10 +43,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_metric_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--divergence", choices=["kl", "js"], help="divergence (default js)")
-    parser.add_argument(
-        "--weighting", choices=["none", "mrr", "ndcg"], help="rank discount (default mrr)"
-    )
+    parser.add_argument("--divergence", choices=KINDS, help="divergence (default js)")
+    parser.add_argument("--weighting", choices=SCHEMES, help="rank discount (default mrr)")
     parser.add_argument("--cutoffs", help="comma list of rank cutoffs; 0 means @N (default 0)")
     parser.add_argument("--alpha", help="smoothing fraction (default 0.001)")
     parser.add_argument("--bins", help="bin count for activation and complexity (default 10)")
@@ -76,13 +57,12 @@ def _add_metric_options(parser: argparse.ArgumentParser) -> None:
         metavar="NAME=PATH",
         help="external recommendations JSON-lines; repeatable",
     )
-    parser.add_argument("--pool", choices=["impression", "daily"], help="supply context")
-    parser.add_argument("--workers", help="worker threads for per-impression metrics")
+    parser.add_argument("--pool", choices=POOLS, help="supply context")
     parser.add_argument("--out", help="output directory (default out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="newsdiv",
         description="Score ranked news-recommendation logs on normative diversity metrics.",
     )
@@ -95,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recommend = subparsers.add_parser("recommend", help="write a baseline recommendation file")
     _add_common_options(recommend)
-    recommend.add_argument("--strategy", choices=["random", "popular"], required=True)
+    recommend.add_argument("--strategy", choices=BASELINES, required=True)
     recommend.add_argument("-o", "--output", required=True, help="recommendations JSON-lines")
     recommend.set_defaults(handler=_cmd_recommend)
 
@@ -120,7 +100,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     options: dict[str, object] = {}
     if getattr(args, "config", None):
         options.update(load_config_file(args.config))
-    for key in _OPTION_KEYS:
+    for key in OPTION_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
@@ -132,15 +112,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _require(config: RunConfig, *names: str) -> None:
     for name in names:
-        path = getattr(config, name)
-        if path is None:
+        if getattr(config, name) is None:
             raise InputError(f"--{name} is required for this command")
-        if not Path(path).exists():
+    for name in _PATH_KEYS:
+        path = getattr(config, name)
+        if path is not None and not path.exists():
             raise InputError(f"{name} file not found: {path}")
-    for optional in ("bodies", "lexicon", "gazetteer", "sidecar"):
-        path = getattr(config, optional)
-        if path is not None and not Path(path).exists():
-            raise InputError(f"{optional} file not found: {path}")
 
 
 def _load_corpus(config: RunConfig, impressions=None) -> corpus_io.Corpus:
@@ -163,11 +140,7 @@ def _load_corpus(config: RunConfig, impressions=None) -> corpus_io.Corpus:
 def _cmd_enrich(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     _require(config, "news")
-    impressions = None
-    if config.behaviors:
-        if not Path(config.behaviors).exists():
-            raise InputError(f"behaviors file not found: {config.behaviors}")
-        impressions = corpus_io.load_behaviors(config.behaviors)
+    impressions = corpus_io.load_behaviors(config.behaviors) if config.behaviors else None
     corpus = _load_corpus(config, impressions)
     dump_enriched(corpus, args.output)
     print(f"enriched {len(corpus)} articles -> {args.output} ({len(corpus.warnings)} warnings)")
@@ -180,28 +153,22 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     _require(config, "behaviors")
     impressions = corpus_io.load_behaviors(config.behaviors)
-    if args.strategy == "random":
-        recommendations = [recommend_random(impression, config.seed) for impression in impressions]
-    else:
-        counts = click_counts(impressions)
-        recommendations = [recommend_popular(impression, counts) for impression in impressions]
+    recommendations = _baseline(args.strategy, impressions, config.seed)
     corpus_io.dump_recommendations(recommendations, args.output)
     print(f"wrote {len(recommendations)} {args.strategy} recommendations -> {args.output}")
     return 0
 
 
+def _baseline(strategy: str, impressions, seed: int):
+    """Ranked lists of one baseline recommender, one per impression."""
+    if strategy == "random":
+        return [recommend_random(impression, seed) for impression in impressions]
+    counts = click_counts(impressions)
+    return [recommend_popular(impression, counts) for impression in impressions]
+
+
 def _gather_recommendations(config: RunConfig, impressions):
-    by_source = {}
-    for recommender in config.recommenders:
-        if recommender == "random":
-            by_source["random"] = [
-                recommend_random(impression, config.seed) for impression in impressions
-            ]
-        else:
-            counts = click_counts(impressions)
-            by_source["popular"] = [
-                recommend_popular(impression, counts) for impression in impressions
-            ]
+    by_source = {name: _baseline(name, impressions, config.seed) for name in config.recommenders}
     for name, path in sorted(config.externals.items()):
         if not Path(path).exists():
             raise InputError(f"external recommendations file not found: {path}")
@@ -229,7 +196,6 @@ def _run_evaluation(config: RunConfig, grid) -> int:
         config.metric_config(),
         grid,
         pool=config.pool,
-        workers=config.workers,
     )
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,14 +224,10 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure, distinct exit code

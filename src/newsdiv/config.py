@@ -1,19 +1,24 @@
 """Run configuration: defaults, key=value config files and flag merging.
 
 A config file holds one ``key = value`` pair per line (``#`` comments and
-blank lines allowed; values may be quoted).  Command-line flags override the
-file, which overrides the built-in defaults.  External recommendation files
-use keys of the form ``external.<name> = <path>``.
+blank lines allowed; values may be quoted, and a ``#`` inside quotes is kept).
+Keys are those of :data:`OPTION_KEYS`; external recommendation files use keys
+of the form ``external.<name> = <path>``.  Command-line flags override the
+file, which overrides the built-in defaults.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .distrib import Binning, RankWeighting
+from .distrib import SCHEMES, Binning, RankWeighting
+from .divergence import KINDS
 from .errors import InputError
+from .evaluate import POOLS
 from .metrics import MetricConfig
+from .recommenders import BASELINES
 
 DEFAULTS: dict[str, str] = {
     "divergence": "js",
@@ -25,7 +30,6 @@ DEFAULTS: dict[str, str] = {
     "seed": "0",
     "recommenders": "random,popular",
     "pool": "impression",
-    "workers": "1",
     "tau": "0.5",
     "window_days": "3",
     "divergences": "kl,js",
@@ -35,23 +39,32 @@ DEFAULTS: dict[str, str] = {
 
 _PATH_KEYS = ("news", "bodies", "behaviors", "lexicon", "gazetteer", "sidecar")
 
+# Every key that a flag or a config file can set.
+OPTION_KEYS = frozenset((*_PATH_KEYS, *DEFAULTS, "activation_bins", "complexity_bins"))
+
+# key = value, then an optional comment; a quoted value may hold "#".
+_LINE = re.compile(r"""([^=#]*?)\s*=\s*("[^"]*"|'[^']*'|[^#]*?)\s*(?:#.*)?""")
+
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        value = value.strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
-        values[key.strip()] = value
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            match = _LINE.fullmatch(line)
+            if match is None:
+                raise InputError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = match.groups()
+            if key not in OPTION_KEYS and not key.startswith("external."):
+                raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                value = value[1:-1]
+            values[key] = value
     return values
 
 
@@ -84,7 +97,6 @@ class RunConfig:
     pairs: int = 5
     seed: int = 0
     pool: str = "impression"
-    workers: int = 1
     tau: float = 0.5
     window_days: float = 3.0
 
@@ -112,7 +124,6 @@ class RunConfig:
             config.pairs = int(str(merged["pairs"]))
             config.seed = int(str(merged["seed"]))
             config.pool = str(merged["pool"])
-            config.workers = int(str(merged["workers"]))
             config.tau = float(str(merged["tau"]))
             config.window_days = float(str(merged["window_days"]))
         except ValueError as exc:
@@ -137,25 +148,19 @@ class RunConfig:
             raise InputError("cutoffs list must be non-empty")
         if any(cutoff < 0 for cutoff in self.cutoffs):
             raise InputError("cutoffs must be >= 0 (0 means no cutoff)")
-        if self.divergence not in ("kl", "js"):
-            raise InputError(f"divergence must be kl or js, got {self.divergence!r}")
-        for divergence in self.divergences:
-            if divergence not in ("kl", "js"):
-                raise InputError(f"divergences entries must be kl or js, got {divergence!r}")
-        for weighting in [self.weighting, *self.weightings]:
-            if weighting not in ("none", "mrr", "ndcg"):
-                raise InputError(f"weighting must be none, mrr or ndcg, got {weighting!r}")
-        for recommender in self.recommenders:
-            if recommender not in ("random", "popular"):
-                raise InputError(f"unknown recommender {recommender!r}")
-        if self.pool not in ("impression", "daily"):
-            raise InputError(f"pool must be impression or daily, got {self.pool!r}")
+        for name, values, allowed in (
+            ("divergence", [self.divergence, *self.divergences], KINDS),
+            ("weighting", [self.weighting, *self.weightings], SCHEMES),
+            ("recommender", self.recommenders, BASELINES),
+            ("pool", [self.pool], POOLS),
+        ):
+            for value in values:
+                if value not in allowed:
+                    raise InputError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
         if not 0.0 <= self.alpha < 0.5:
             raise InputError(f"alpha must be in [0, 0.5), got {self.alpha}")
         if self.pairs < 1:
             raise InputError("pairs must be >= 1")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
 
     def metric_config(self) -> MetricConfig:
         return MetricConfig(

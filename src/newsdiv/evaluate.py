@@ -2,8 +2,7 @@
 grid, with skips recorded instead of silently biasing the means."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
@@ -34,24 +33,31 @@ class GridPoint:
 
 
 @dataclass(frozen=True)
-class SampleRow:
+class KeyedRow:
+    """The key fields that a sample and a skip share."""
+
     metric: str
     recommender: str
     divergence: str
     weighting: str
     cutoff: int
     pair_id: str
+
+    def config_key(self) -> tuple:
+        """The report row this sample or skip belongs to."""
+        return (self.metric, self.recommender, self.divergence, self.weighting, self.cutoff)
+
+    def row_key(self) -> tuple:
+        return (*self.config_key(), self.pair_id)
+
+
+@dataclass(frozen=True)
+class SampleRow(KeyedRow):
     value: float
 
 
 @dataclass(frozen=True)
-class SkipRow:
-    metric: str
-    recommender: str
-    divergence: str
-    weighting: str
-    cutoff: int
-    pair_id: str
+class SkipRow(KeyedRow):
     reason: str
 
 
@@ -80,8 +86,7 @@ def daily_pools(impressions: Sequence[ImpressionLog]) -> dict[str, tuple[str, ..
     """Candidate-id union per UTC day, for the global-pool context switch."""
     pools: dict[str, set[str]] = {}
     for impression in impressions:
-        day = datetime.fromtimestamp(impression.time, tz=timezone.utc).strftime("%Y-%m-%d")
-        pools.setdefault(day, set()).update(impression.candidate_ids)
+        pools.setdefault(_impression_day(impression), set()).update(impression.candidate_ids)
     return {day: tuple(sorted(ids)) for day, ids in pools.items()}
 
 
@@ -105,20 +110,24 @@ def evaluate_recommendations(
     metric_config: MetricConfig,
     grid: Sequence[GridPoint],
     pool: str = "impression",
-    workers: int = 1,
 ) -> EvaluationResult:
     """Compute every metric sample for every recommender and grid point.
 
     Rows come back sorted on (metric, recommender, divergence, weighting,
-    cutoff, pair id), so worker count and scheduling never change the output.
-    Fragmentation partners are drawn once per recommender from the seed and
+    cutoff, pair id).  Fragmentation partners are drawn once per recommender from the seed and
     reused across the grid, keeping grid points comparable.
     """
     if pool not in POOLS:
         raise ValueError(f"unknown pool {pool!r}")
     by_impression = {impression.impression_id: impression for impression in impressions}
     day_pools = daily_pools(impressions) if pool == "daily" else {}
-    grid_configs = [(point, _point_config(metric_config, point)) for point in grid]
+    grid_configs = [
+        (
+            point,
+            replace(metric_config, divergence=point.divergence, weighting=point.rank_weighting()),
+        )
+        for point in grid
+    ]
 
     samples: list[SampleRow] = []
     skips: list[SkipRow] = []
@@ -132,24 +141,10 @@ def evaluate_recommendations(
                     f"recommendation references unknown impression {recommendation.impression_id!r}"
                 )
             joined.append((impression, recommendation))
-
-        def evaluate_one(
-            task: tuple[ImpressionLog, RecommendationList],
-            source: str = source,
-        ) -> tuple[list[SampleRow], list[SkipRow]]:
-            impression, recommendation = task
-            return _evaluate_impression(
-                corpus, impression, recommendation, source, grid_configs, day_pools
+        for impression, recommendation in joined:
+            _evaluate_impression(
+                corpus, impression, recommendation, source, grid_configs, day_pools, samples, skips
             )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                outcomes = list(executor.map(evaluate_one, joined))
-        else:
-            outcomes = [evaluate_one(task) for task in joined]
-        for sample_rows, skip_rows in outcomes:
-            samples.extend(sample_rows)
-            skips.extend(skip_rows)
 
         ranked_articles = {
             recommendation.impression_id: _resolve(corpus, recommendation.ranked_items)
@@ -157,34 +152,13 @@ def evaluate_recommendations(
         }
         for point, config in grid_configs:
             outcome = sample_fragmentation(ranked_articles, config)
-            for pair_id, value in outcome.samples:
-                samples.append(
-                    SampleRow("fragmentation", source, point.divergence, point.weighting, point.cutoff, pair_id, value)
-                )
-            for pair_id, reason in outcome.skips:
-                skips.append(
-                    SkipRow("fragmentation", source, point.divergence, point.weighting, point.cutoff, pair_id, reason)
-                )
+            key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
+            samples.extend(SampleRow(*key, pair_id, value) for pair_id, value in outcome.samples)
+            skips.extend(SkipRow(*key, pair_id, reason) for pair_id, reason in outcome.skips)
 
-    samples.sort(key=_row_key)
-    skips.sort(key=lambda row: _row_key(row) + (row.reason,))
+    samples.sort(key=KeyedRow.row_key)
+    skips.sort(key=lambda row: (*row.row_key(), row.reason))
     return EvaluationResult(samples=samples, skips=skips)
-
-
-def _row_key(row) -> tuple:
-    return (row.metric, row.recommender, row.divergence, row.weighting, row.cutoff, row.pair_id)
-
-
-def _point_config(base: MetricConfig, point: GridPoint) -> MetricConfig:
-    return MetricConfig(
-        divergence=point.divergence,
-        weighting=point.rank_weighting(),
-        alpha=base.alpha,
-        activation_bins=base.activation_bins,
-        complexity_bins=base.complexity_bins,
-        fragmentation_pairs=base.fragmentation_pairs,
-        seed=base.seed,
-    )
 
 
 def _resolve(corpus: Corpus, ids: Iterable[str]) -> list[Article]:
@@ -198,7 +172,10 @@ def _evaluate_impression(
     source: str,
     grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
     day_pools: Mapping[str, tuple[str, ...]],
-) -> tuple[list[SampleRow], list[SkipRow]]:
+    samples: list[SampleRow],
+    skips: list[SkipRow],
+) -> None:
+    """Append one impression's per-impression samples and skips."""
     history = _resolve(corpus, impression.history)
     recommended = _resolve(corpus, recommendation.ranked_items)
     if day_pools:
@@ -206,35 +183,13 @@ def _evaluate_impression(
     else:
         candidates = _resolve(corpus, impression.candidate_ids)
 
-    samples = []
-    skips = []
     for point, config in grid_configs:
         for metric_name, metric_fn, context_kind in _PER_IMPRESSION:
             context = history if context_kind == "history" else candidates
+            key = (metric_name, source, point.divergence, point.weighting, point.cutoff)
             try:
                 value = metric_fn(context, recommended, config)
             except EmptyDistributionError as exc:
-                skips.append(
-                    SkipRow(
-                        metric_name,
-                        source,
-                        point.divergence,
-                        point.weighting,
-                        point.cutoff,
-                        impression.impression_id,
-                        str(exc),
-                    )
-                )
+                skips.append(SkipRow(*key, impression.impression_id, str(exc)))
                 continue
-            samples.append(
-                SampleRow(
-                    metric_name,
-                    source,
-                    point.divergence,
-                    point.weighting,
-                    point.cutoff,
-                    impression.impression_id,
-                    value,
-                )
-            )
-    return samples, skips
+            samples.append(SampleRow(*key, impression.impression_id, value))

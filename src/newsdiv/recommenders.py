@@ -7,6 +7,8 @@ from typing import Iterable, Mapping
 from .corpus import ImpressionLog, RecommendationList
 from .seeding import derive_rng
 
+BASELINES = ("random", "popular")
+
 
 def click_counts(impressions: Iterable[ImpressionLog]) -> Counter[str]:
     """Clicks per article over a behaviors set; the popularity signal."""

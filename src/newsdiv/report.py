@@ -38,10 +38,6 @@ class AggregateRow:
     skips: int
 
 
-def _config_key(row) -> tuple:
-    return (row.metric, row.recommender, row.divergence, row.weighting, row.cutoff)
-
-
 def aggregate_rows(samples: Sequence[SampleRow], skips: Sequence[SkipRow]) -> list[AggregateRow]:
     """One aggregate per configuration that produced at least one sample.
 
@@ -50,10 +46,10 @@ def aggregate_rows(samples: Sequence[SampleRow], skips: Sequence[SkipRow]) -> li
     """
     grouped: dict[tuple, list[float]] = {}
     for sample in samples:
-        grouped.setdefault(_config_key(sample), []).append(sample.value)
+        grouped.setdefault(sample.config_key(), []).append(sample.value)
     skip_counts: dict[tuple, int] = {}
     for skip in skips:
-        key = _config_key(skip)
+        key = skip.config_key()
         skip_counts[key] = skip_counts.get(key, 0) + 1
     rows = []
     for key in sorted(grouped):
@@ -145,7 +141,7 @@ def read_samples_csv(path: str | Path) -> list[SampleRow]:
 def write_skips(skips: Sequence[SkipRow], path: str | Path) -> None:
     grouped: dict[tuple, int] = {}
     for skip in skips:
-        key = _config_key(skip) + (skip.reason,)
+        key = (*skip.config_key(), skip.reason)
         grouped[key] = grouped.get(key, 0) + 1
     payload = {
         "rows": [

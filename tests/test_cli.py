@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import pytest
 
 from newsdiv.cli import main
+from newsdiv.config import load_config_file
 from newsdiv.corpus import load_behaviors, load_recommendations
 from newsdiv.metrics import METRIC_NAMES
 from newsdiv.report import read_samples_csv
@@ -177,14 +179,6 @@ class TestEvaluateVariants:
         )
         assert code == 2
 
-    def test_workers_do_not_change_output(self, fixture_paths, evaluation, tmp_path):
-        out_dir = tmp_path / "workers"
-        code = main(
-            ["evaluate", *base_args(fixture_paths, out_dir, "--cutoffs", "0", "--workers", "4")]
-        )
-        assert code == 0
-        assert (out_dir / "samples.csv").read_bytes() == (evaluation / "samples.csv").read_bytes()
-
 
 class TestSensitivity:
     def test_full_sweep(self, fixture_paths, tmp_path):
@@ -341,6 +335,78 @@ class TestConfigFile:
 
     def test_missing_config_file_is_input_error(self, tmp_path):
         assert main(["evaluate", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    def test_hash_inside_quotes_is_kept(self, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            'out = "/tmp/a#b"  # comment\n'
+            "news = '/tmp/n#1.tsv'\n"
+            "seed = 4 # comment\n",
+            encoding="utf-8",
+        )
+        assert load_config_file(config_path) == {
+            "out": "/tmp/a#b",
+            "news": "/tmp/n#1.tsv",
+            "seed": "4",
+        }
+
+    def test_file_is_closed(self, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("seed = 4\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_config_file(config_path)
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+    @pytest.mark.parametrize("line", ["pairz = 3", "workers = 2"])
+    def test_unknown_key_is_input_error(self, fixture_paths, tmp_path, capsys, line):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"seed = 1\n{line}\n", encoding="utf-8")
+        code = main(
+            ["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--config", str(config_path)]
+        )
+        assert code == 1
+        assert f"{config_path}:2: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_external_keys_accepted(self, fixture_paths, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            f"external.fixture = {fixture_paths['recommendations']}\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "evaluate",
+                *base_args(fixture_paths, out_dir, "--cutoffs", "0"),
+                "--config", str(config_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert "external:fixture" in {row["recommender"] for row in report["rows"]}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--divergence", "foo"], "invalid choice: 'foo'"),
+            (["evaluate", "--workers", "2"], "unrecognized arguments: --workers 2"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_exit_one_with_message(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--help"])
+        assert exit_info.value.code == 0
+        assert "--divergence" in capsys.readouterr().out
 
 
 class TestErrorPaths:

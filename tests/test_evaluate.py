@@ -113,19 +113,6 @@ class TestEvaluateRecommendations:
         ]
         assert keys == sorted(keys)
 
-    def test_workers_equivalent(self, world):
-        corpus, impressions = world
-        recommendations = {
-            "random": [recommend_random(impression, seed=1) for impression in impressions[:20]]
-        }
-        config = MetricConfig(seed=1, fragmentation_pairs=2)
-        grid = build_grid(["js"], ["mrr"], [0])
-        serial = evaluate_recommendations(corpus, impressions, recommendations, config, grid)
-        threaded = evaluate_recommendations(
-            corpus, impressions, recommendations, config, grid, workers=4
-        )
-        assert serial.samples == threaded.samples
-
     def test_fragmentation_pairs_shared_across_grid(self, world):
         corpus, impressions = world
         recommendations = {
