@@ -60,7 +60,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             if match is None:
                 raise InputError(f"{path}:{lineno}: expected 'key = value'")
             key, value = match.groups()
-            if key not in OPTION_KEYS and not key.startswith("external."):
+            if key not in OPTION_KEYS and not (key.startswith("external.") and key != "external."):
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}")
             if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
                 value = value[1:-1]
@@ -132,9 +132,9 @@ class RunConfig:
         externals = merged.get("externals")
         if externals:
             for item in externals if isinstance(externals, list) else _split_list(str(externals)):
-                if "=" not in item:
+                name, separator, path_text = item.partition("=")
+                if not separator or not name.strip():
                     raise InputError(f"--external expects name=path, got {item!r}")
-                name, path_text = item.split("=", 1)
                 config.externals[name.strip()] = Path(path_text.strip())
         for key, value in merged.items():
             if isinstance(key, str) and key.startswith("external."):

@@ -19,6 +19,7 @@ from .corpus import Article, Corpus, ImpressionLog
 from .errors import ParseError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_WORD_RE = re.compile(r"\w+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
 _VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
 
@@ -112,24 +113,35 @@ class Gazetteer:
                 raise ParseError(f"duplicate gazetteer id {entry.canonical_id!r}")
             seen.add(entry.canonical_id)
         self.entries = tuple(entries)
-        self._patterns = {
-            entry.canonical_id: [
-                re.compile(r"\b" + re.escape(alias) + r"\b") for alias in entry.aliases
-            ]
-            for entry in entries
-        }
+        self._by_id = {entry.canonical_id: entry for entry in self.entries}
+        # A match of \b<alias>\b for an alias opening with a word character
+        # starts where one of the text's \w+ runs equals the alias's leading
+        # \w+ run (its lead word), so patterns are indexed by lead word.
+        # Aliases opening with any other character are always tried.
+        self._by_lead: dict[str, list[tuple[int, re.Pattern[str]]]] = {}
+        self._unindexed: list[tuple[int, re.Pattern[str]]] = []
+        for index, entry in enumerate(self.entries):
+            for alias in entry.aliases:
+                pattern = re.compile(r"\b" + re.escape(alias) + r"\b")
+                lead = _WORD_RE.match(alias)
+                if lead is None:
+                    self._unindexed.append((index, pattern))
+                else:
+                    self._by_lead.setdefault(lead.group(), []).append((index, pattern))
 
     def mention_counts(self, text: str) -> dict[str, int]:
-        """Mentions per canonical id; ids without a match are omitted."""
+        """Mentions per canonical id, in gazetteer order; ids without a match
+        are omitted."""
         lowered = text.lower()
-        counts = {}
-        for entry in self.entries:
-            mentions = sum(
-                len(pattern.findall(lowered)) for pattern in self._patterns[entry.canonical_id]
-            )
-            if mentions:
-                counts[entry.canonical_id] = mentions
-        return counts
+        candidates = list(self._unindexed)
+        for word in set(_WORD_RE.findall(lowered)):
+            candidates.extend(self._by_lead.get(word, ()))
+        mentions: dict[int, int] = {}
+        for index, pattern in candidates:
+            found = len(pattern.findall(lowered))
+            if found:
+                mentions[index] = mentions.get(index, 0) + found
+        return {self.entries[index].canonical_id: mentions[index] for index in sorted(mentions)}
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
@@ -178,10 +190,8 @@ def tag_entities(text: str, gazetteer: Gazetteer) -> tuple[frozenset[str], int, 
     actors = set()
     minority = 0
     majority = 0
-    for entry in gazetteer.entries:
-        mentions = counts.get(entry.canonical_id, 0)
-        if not mentions:
-            continue
+    for canonical_id, mentions in counts.items():
+        entry = gazetteer._by_id[canonical_id]
         if entry.is_political:
             actors.add(entry.canonical_id)
         if entry.kind == "person":
@@ -210,23 +220,29 @@ def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
 
 
 class _Chain:
-    __slots__ = ("chain_id", "vector_sum", "last_seen")
+    __slots__ = ("chain_id", "vector_sum", "last_seen", "_centroid")
 
-    def __init__(self, chain_id: str, vector: Mapping[str, float], last_seen: float):
+    def __init__(self, chain_id: str, last_seen: float):
         self.chain_id = chain_id
-        self.vector_sum = dict(vector)
+        self.vector_sum: dict[str, float] = {}
         self.last_seen = last_seen
+        self._centroid: dict[str, float] | None = None
 
     def centroid(self) -> dict[str, float]:
-        norm = math.sqrt(math.fsum(value * value for value in self.vector_sum.values()))
-        if norm == 0.0:
-            return {}
-        return {token: value / norm for token, value in self.vector_sum.items()}
+        """The normalised ``vector_sum``, kept until the next :meth:`absorb`."""
+        if self._centroid is None:
+            norm = math.sqrt(math.fsum(value * value for value in self.vector_sum.values()))
+            if norm == 0.0:
+                self._centroid = {}
+            else:
+                self._centroid = {token: value / norm for token, value in self.vector_sum.items()}
+        return self._centroid
 
     def absorb(self, vector: Mapping[str, float], seen: float) -> None:
         for token, value in vector.items():
             self.vector_sum[token] = self.vector_sum.get(token, 0.0) + value
         self.last_seen = max(self.last_seen, seen)
+        self._centroid = None
 
 
 def chain_articles(
@@ -254,25 +270,35 @@ def chain_articles(
     idf = {token: math.log((1 + total) / (1 + df)) + 1.0 for token, df in frequency.items()}
 
     chains: list[_Chain] = []
+    holders: dict[str, list[int]] = {}  # token -> positions of the chains holding it
     assignment: dict[str, str] = {}
     for article in articles:
         vector = _tf_idf_vector(document_tokens[article.id], idf)
         when = article.published_at if article.published_at is not None else 0.0
-        best: _Chain | None = None
+        # A chain sharing no token scores fsum([]) == 0.0, which never beats
+        # best_score, so only the holders of the article's tokens are scored.
+        # Creation order keeps the first-created chain winning ties.
+        candidates: set[int] = set()
+        for token in vector:
+            candidates.update(holders.get(token, ()))
+        best: int | None = None
         best_score = 0.0
-        for chain in chains:
+        for position in sorted(candidates):
+            chain = chains[position]
             if when - chain.last_seen > window_seconds:
                 continue
             score = _cosine(vector, chain.centroid())
             if score > best_score:
-                best, best_score = chain, score
-        if best is not None and best_score >= tau:
-            best.absorb(vector, when)
-            assignment[article.id] = best.chain_id
-        else:
-            chain = _Chain(f"chain_{len(chains) + 1:06d}", vector, when)
-            chains.append(chain)
-            assignment[article.id] = chain.chain_id
+                best, best_score = position, score
+        if best is None or best_score < tau:
+            best = len(chains)
+            chains.append(_Chain(f"chain_{best + 1:06d}", when))
+        chain = chains[best]
+        for token in vector:
+            if token not in chain.vector_sum:
+                holders.setdefault(token, []).append(best)
+        chain.absorb(vector, when)
+        assignment[article.id] = chain.chain_id
     return assignment
 
 
@@ -353,38 +379,39 @@ def load_sidecar(path: str | Path, corpus: Corpus) -> Corpus:
     for unknown ids or with out-of-range values are rejected with a warning.
     """
     path = Path(path)
-    for lineno, raw in enumerate(open(path, encoding="utf-8"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        article_id = record.get("id")
-        if article_id not in corpus:
-            corpus.warn(f"{path}:{lineno}: sidecar record for unknown article {article_id!r} skipped")
-            continue
-        overrides = {}
-        for field_name in _SIDECAR_FIELDS:
-            if field_name not in record or record[field_name] is None:
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
                 continue
-            value = record[field_name]
-            if field_name == "political_actors":
-                value = frozenset(str(actor) for actor in value)
-            elif field_name in ("minority_mentions", "majority_mentions"):
-                value = int(value)
-            elif field_name == "complexity" or field_name == "activation":
-                value = float(value)
-            overrides[field_name] = value
-        if not overrides:
-            continue
-        try:
-            updated = replace(corpus[article_id], **overrides)
-        except Exception as exc:
-            corpus.warn(f"{path}:{lineno}: record for {article_id!r} rejected ({exc})")
-            continue
-        corpus.update(updated)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            article_id = record.get("id")
+            if article_id not in corpus:
+                corpus.warn(f"{path}:{lineno}: sidecar record for unknown article {article_id!r} skipped")
+                continue
+            overrides = {}
+            for field_name in _SIDECAR_FIELDS:
+                if field_name not in record or record[field_name] is None:
+                    continue
+                value = record[field_name]
+                if field_name == "political_actors":
+                    value = frozenset(str(actor) for actor in value)
+                elif field_name in ("minority_mentions", "majority_mentions"):
+                    value = int(value)
+                elif field_name == "complexity" or field_name == "activation":
+                    value = float(value)
+                overrides[field_name] = value
+            if not overrides:
+                continue
+            try:
+                updated = replace(corpus[article_id], **overrides)
+            except Exception as exc:
+                corpus.warn(f"{path}:{lineno}: record for {article_id!r} rejected ({exc})")
+                continue
+            corpus.update(updated)
     return corpus
 
 

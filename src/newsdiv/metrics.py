@@ -206,11 +206,13 @@ def fragmentation_partners(ids: Sequence[str], pairs: int, seed: int) -> list[tu
     if len(ordered) != len(set(ordered)):
         raise ValueError("ids must be unique")
     rng = derive_rng(seed, "fragmentation")
+    # Sampling positions in range(n - 1) draws the same positions as sampling
+    # the list of the other ids, without building that list for every id.
+    others = len(ordered) - 1
     drawn = []
-    for current in ordered:
-        others = [candidate for candidate in ordered if candidate != current]
-        for partner in rng.sample(others, min(pairs, len(others))):
-            drawn.append((current, partner))
+    for i, current in enumerate(ordered):
+        for j in rng.sample(range(others), min(pairs, others)):
+            drawn.append((current, ordered[j if j < i else j + 1]))
     return drawn
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import pytest
 
 from newsdiv.cli import main
-from newsdiv.config import load_config_file
+from newsdiv.config import RunConfig, load_config_file
 from newsdiv.corpus import load_behaviors, load_recommendations
 from newsdiv.metrics import METRIC_NAMES
 from newsdiv.report import read_samples_csv
@@ -387,6 +388,27 @@ class TestConfigFile:
         assert "external:fixture" in {row["recommender"] for row in report["rows"]}
 
 
+    def test_empty_external_name_is_input_error(self, fixture_paths, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            f"seed = 1\nexternal. = {fixture_paths['recommendations']}\n", encoding="utf-8"
+        )
+        code = main(
+            ["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--config", str(config_path)]
+        )
+        assert code == 1
+        assert f"{config_path}:2: unknown key 'external.'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_defaults_match_run_config_fields(self):
+        resolved = RunConfig.from_options({})
+        default = RunConfig()
+        for config_field in dataclasses.fields(RunConfig):
+            assert getattr(resolved, config_field.name) == getattr(default, config_field.name), (
+                config_field.name
+            )
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
@@ -435,6 +457,16 @@ class TestErrorPaths:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("item", ["=recs.jsonl", " =recs.jsonl"])
+    def test_empty_external_name_is_input_error(self, fixture_paths, tmp_path, capsys, item):
+        item = item.replace("recs.jsonl", str(fixture_paths["recommendations"]))
+        code = main(
+            ["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--external", item]
+        )
+        assert code == 1
+        assert "--external expects name=path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_behaviors_referencing_unknown_articles_fail_fast(self, fixture_paths, tmp_path):
         behaviors = tmp_path / "behaviors.tsv"

@@ -1,10 +1,15 @@
 import json
+import math
+import re
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from newsdiv.corpus import Article, load_behaviors, load_catalog
 from newsdiv.enrich import (
+    Gazetteer,
+    GazetteerEntry,
     activation,
     chain_articles,
     complexity,
@@ -15,6 +20,7 @@ from newsdiv.enrich import (
     load_lexicon,
     load_sidecar,
     tag_entities,
+    tokenize,
 )
 from newsdiv.errors import ParseError
 
@@ -93,6 +99,53 @@ def article(article_id, text, when):
 
 HOUR = 3600.0
 DAY = 86400.0
+# Few words, so generated articles repeat texts and tie on cosine.
+CHAIN_WORDS = ["mayor", "bridge", "vote", "storm", "river", "derby"]
+
+
+def reference_chains(articles, tau, window_seconds):
+    """Story chaining as a full scan of every open chain, normalising each
+    centroid again for every comparison."""
+    tokens = {item.id: tokenize(item.text()) for item in articles}
+    frequency = {}
+    for words in tokens.values():
+        for token in set(words):
+            frequency[token] = frequency.get(token, 0) + 1
+    idf = {token: math.log((1 + len(articles)) / (1 + df)) + 1.0 for token, df in frequency.items()}
+
+    def normalised(vector):
+        norm = math.sqrt(math.fsum(value * value for value in vector.values()))
+        return {} if norm == 0.0 else {token: value / norm for token, value in vector.items()}
+
+    def cosine(a, b):
+        if len(b) < len(a):
+            a, b = b, a
+        return math.fsum(value * b[token] for token, value in a.items() if token in b)
+
+    chains = []  # [chain id, vector sum, last seen]
+    assignment = {}
+    for item in articles:
+        counts = {}
+        for token in tokens[item.id]:
+            counts[token] = counts.get(token, 0) + 1
+        vector = normalised({token: count * idf[token] for token, count in counts.items()})
+        when = item.published_at
+        best, best_score = None, 0.0
+        for chain in chains:
+            if when - chain[2] > window_seconds:
+                continue
+            score = cosine(vector, normalised(chain[1]))
+            if score > best_score:
+                best, best_score = chain, score
+        if best is not None and best_score >= tau:
+            for token, value in vector.items():
+                best[1][token] = best[1].get(token, 0.0) + value
+            best[2] = max(best[2], when)
+            assignment[item.id] = best[0]
+        else:
+            chains.append([f"chain_{len(chains) + 1:06d}", dict(vector), when])
+            assignment[item.id] = chains[-1][0]
+    return assignment
 
 
 class TestChaining:
@@ -159,6 +212,67 @@ class TestChaining:
         with pytest.raises(ValueError):
             chain_articles([], tau=0.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(CHAIN_WORDS), max_size=6).map(" ".join),
+                st.sampled_from([0.0, HOUR, DAY - 1.0, DAY, DAY + 1.0, 2 * DAY, 3 * DAY]),
+            ),
+            max_size=25,
+        ),
+        st.sampled_from([0.1, 0.5, 0.8, 1.0]),
+    )
+    def test_matches_full_scan_reference(self, drafts, tau):
+        articles = [
+            article(f"a{number}", text, when)
+            for number, (text, when) in enumerate(sorted(drafts, key=lambda draft: draft[1]))
+        ]
+        assert chain_articles(articles, tau=tau, window_seconds=DAY) == reference_chains(
+            articles, tau, DAY
+        )
+
+
+# Overlapping aliases, aliases opening or closing with punctuation, and
+# underscores, digits and non-ASCII word characters.
+ALIASES = st.one_of(
+    st.sampled_from(
+        ["new york", "york", "new", ".net", "o'neil", "u.s.", "josé", "jo", "a_b", "b2", "x-ray", "é"]
+    ),
+    st.text("abyé_1.' ", min_size=1, max_size=4),
+)
+SEPARATORS = [" ", "  ", ".", ",", "-", "'", "_", "\n", "s", "1"]
+TEXT_CHARS = "aboyNé_É1.' İ"
+
+
+def reference_mention_counts(gazetteer, text):
+    """Every alias pattern run over the lowered text, entry by entry."""
+    lowered = text.lower()
+    counts = {}
+    for entry in gazetteer.entries:
+        mentions = sum(
+            len(re.findall(r"\b" + re.escape(alias) + r"\b", lowered)) for alias in entry.aliases
+        )
+        if mentions:
+            counts[entry.canonical_id] = mentions
+    return counts
+
+
+def reference_tags(gazetteer, counts):
+    actors, minority, majority = set(), 0, 0
+    for entry in gazetteer.entries:
+        mentions = counts.get(entry.canonical_id, 0)
+        if not mentions:
+            continue
+        if entry.is_political:
+            actors.add(entry.canonical_id)
+        if entry.kind == "person":
+            if entry.in_knowledge_base:
+                majority += mentions
+            else:
+                minority += mentions
+    return frozenset(actors), minority, majority
+
 
 class TestEntities:
     def test_party_mentioned_twice_counts_once_in_set(self, fixture_paths):
@@ -204,6 +318,32 @@ class TestEntities:
         path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match="duplicate"):
             load_gazetteer(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(ALIASES, min_size=1, max_size=3),
+                st.sampled_from(["person", "party"]),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.one_of(ALIASES, st.sampled_from(SEPARATORS), st.text(TEXT_CHARS, max_size=4))),
+    )
+    def test_indexed_lookup_matches_every_alias_scan(self, drafts, pieces):
+        gazetteer = Gazetteer(
+            [
+                GazetteerEntry(f"E{number}", kind, tuple(aliases), political, linked)
+                for number, (aliases, kind, political, linked) in enumerate(drafts)
+            ]
+        )
+        text = "".join(pieces)
+        expected = reference_mention_counts(gazetteer, text)
+        assert list(gazetteer.mention_counts(text).items()) == list(expected.items())
+        assert tag_entities(text, gazetteer) == reference_tags(gazetteer, expected)
 
 
 @pytest.fixture
@@ -270,6 +410,12 @@ class TestSidecar:
         path.write_text("", encoding="utf-8")
         load_sidecar(path, enriched)
         assert {article.id: article for article in enriched} == before
+
+    def test_file_is_closed(self, enriched, fixture_paths):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_sidecar(fixture_paths["sidecar"], enriched)
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_enrich_output_feeds_back_as_sidecar(self, enriched, tmp_path, fixture_paths):
         path = tmp_path / "enriched.jsonl"

@@ -18,6 +18,7 @@ from newsdiv.metrics import (
     representation,
     sample_fragmentation,
 )
+from newsdiv.seeding import derive_rng
 
 
 def art(article_id="A", **fields):
@@ -271,6 +272,18 @@ class TestFragmentationSampling:
         forward = fragmentation_partners(["I0", "I1", "I2"], pairs=1, seed=3)
         shuffled = fragmentation_partners(["I2", "I0", "I1"], pairs=1, seed=3)
         assert forward == shuffled
+
+    @pytest.mark.parametrize("n, pairs", [(2, 5), (3, 1), (7, 5), (500, 600), (3600, 5), (6000, 2)])
+    def test_partner_draw_matches_list_copy_reference(self, n, pairs):
+        ids = [f"I{number}" for number in range(n)]
+        ordered = sorted(ids)
+        rng = derive_rng(11, "fragmentation")
+        expected = []
+        for current in ordered:
+            others = [candidate for candidate in ordered if candidate != current]
+            for partner in rng.sample(others, min(pairs, len(others))):
+                expected.append((current, partner))
+        assert fragmentation_partners(ids, pairs=pairs, seed=11) == expected
 
     def test_single_list_yields_skip(self):
         result = sample_fragmentation(self.make_recs(1), cfg())
