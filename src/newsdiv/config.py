@@ -135,9 +135,13 @@ class RunConfig:
                 name, separator, path_text = item.partition("=")
                 if not separator or not name.strip():
                     raise InputError(f"--external expects name=path, got {item!r}")
+                if not path_text.strip():
+                    raise InputError(f"--external {name.strip()}= has an empty path")
                 config.externals[name.strip()] = Path(path_text.strip())
         for key, value in merged.items():
             if isinstance(key, str) and key.startswith("external."):
+                if not str(value).strip():
+                    raise InputError(f"config key {key!r} has an empty path")
                 config.externals[key[len("external."):]] = Path(str(value))
 
         config.validate()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -241,6 +242,7 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
     """
     path = Path(path)
     impressions = []
+    first_line: dict[str, int] = {}
     for lineno, line in _read_lines(path):
         columns = line.split("\t")
         if len(columns) < 5:
@@ -248,6 +250,12 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
                 f"{path}:{lineno}: expected 5 tab-separated columns, got {len(columns)}"
             )
         impression_id, user_id, time_text, history_text, candidates_text = columns[:5]
+        if impression_id in first_line:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate impression id {impression_id!r} "
+                f"(first on line {first_line[impression_id]})"
+            )
+        first_line[impression_id] = lineno
         candidates = []
         for token in candidates_text.split():
             match = _CANDIDATE_RE.match(token)
@@ -283,8 +291,10 @@ def load_recommendations(
     """Parse a recommendations JSON-lines file, optionally validating it
     against the impressions it will be joined with.
 
-    Validation rejects unknown impression ids, duplicate items within a
-    ranking, and items outside the impression's candidate pool.
+    Validation rejects a ranking that is not a list of ids, an impression
+    listed twice, duplicate items within a ranking, and (given the
+    impressions) unknown impression ids and items outside the impression's
+    candidate pool.
     """
     path = Path(path)
     label = source if source is not None else f"external:{path.stem}"
@@ -294,6 +304,7 @@ def load_recommendations(
         else None
     )
     recommendations = []
+    first_line: dict[str, int] = {}
     for lineno, line in _read_lines(path):
         try:
             record = json.loads(line)
@@ -302,10 +313,20 @@ def load_recommendations(
         try:
             impression_id = record["impression_id"]
             user_id = record["user_id"]
-            ranked = list(record["ranked_item_ids"])
+            ranked = record["ranked_item_ids"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: missing field {exc}") from None
-        duplicates = sorted({item for item in ranked if ranked.count(item) > 1})
+        if not isinstance(impression_id, str):
+            raise ParseError(f"{path}:{lineno}: 'impression_id' must be a string")
+        if not isinstance(ranked, list) or not all(isinstance(item, str) for item in ranked):
+            raise ParseError(f"{path}:{lineno}: 'ranked_item_ids' must be a list of strings")
+        if impression_id in first_line:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate impression id {impression_id!r} "
+                f"(first on line {first_line[impression_id]})"
+            )
+        first_line[impression_id] = lineno
+        duplicates = sorted(item for item, count in Counter(ranked).items() if count > 1)
         if duplicates:
             raise ValidationError(
                 f"{path}:{lineno}: duplicate items in ranking for impression "

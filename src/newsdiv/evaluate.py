@@ -7,15 +7,14 @@ from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Article, Corpus, ImpressionLog, RecommendationList
-from .distrib import RankWeighting
+from .distrib import Keys, KeyFn, RankWeighting, _history_masses, _masses, rank_weights
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
+    HISTORY_METRICS,
+    SUPPLY_WEIGHTING,
     MetricConfig,
-    activation_divergence,
-    alternative_voices,
-    calibration_complexity,
-    calibration_topic,
-    representation,
+    _sample,
+    metric_keys,
     sample_fragmentation,
 )
 
@@ -94,13 +93,107 @@ def _impression_day(impression: ImpressionLog) -> str:
     return datetime.fromtimestamp(impression.time, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
-_PER_IMPRESSION = (
-    ("calibration_topic", calibration_topic, "history"),
-    ("calibration_complexity", calibration_complexity, "history"),
-    ("activation", activation_divergence, "pool"),
-    ("representation", representation, "pool"),
-    ("alternative_voices", alternative_voices, "pool"),
-)
+class _ArticleKeys(dict):
+    """Article id -> its keys under each per-impression metric, resolved on
+    first use and kept for the run (the corpus does not change meanwhile)."""
+
+    def __init__(self, corpus: Corpus, key_fns: Sequence[KeyFn]):
+        super().__init__()
+        self.corpus = corpus
+        self.key_fns = key_fns
+
+    def __missing__(self, article_id: str) -> tuple[Keys, ...]:
+        article = self.corpus[article_id]
+        keys = tuple(tuple(key_fn(article).items()) for key_fn in self.key_fns)
+        self[article_id] = keys
+        return keys
+
+
+class _Scorer:
+    """The per-impression samples and skips of every list, with each piece
+    of work done once: article keys once per run, pool contexts once per
+    impression (once per day with daily pools), history contexts once per
+    (impression, weighting) and list masses once per (list, weighting,
+    cutoff)."""
+
+    def __init__(
+        self,
+        corpus: Corpus,
+        metric_config: MetricConfig,
+        grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
+        day_pools: Mapping[str, tuple[str, ...]],
+    ):
+        key_fns = metric_keys(metric_config)
+        self.metrics = tuple(key_fns)
+        self.from_history = tuple(metric in HISTORY_METRICS for metric in self.metrics)
+        self.keys = _ArticleKeys(corpus, tuple(key_fns.values()))
+        self.grid_configs = grid_configs
+        self.day_pools = day_pools
+        self.day_contexts: dict[str, dict[int, dict[str, float] | str]] = {}
+        self.weights: dict[str, list[float]] = {}
+        self.samples: list[SampleRow] = []
+        self.skips: list[SkipRow] = []
+
+    def _build(
+        self, build, rows: Sequence[tuple[Keys, ...]], metric: int, scheme: str
+    ) -> dict[str, float] | str:
+        """The masses of one metric's keys over ``rows``, or the reason that
+        the samples using them are skipped."""
+        weights = self.weights.get(scheme)
+        if weights is None or len(weights) < len(rows):
+            weights = self.weights[scheme] = rank_weights(scheme, 2 * len(rows))
+        try:
+            return build([row[metric] for row in rows], weights)
+        except EmptyDistributionError as exc:
+            return str(exc)
+
+    def _pool_contexts(self, candidate_ids: Sequence[str]) -> dict[int, dict[str, float] | str]:
+        rows = [self.keys[article_id] for article_id in candidate_ids]
+        return {
+            metric: self._build(_masses, rows, metric, SUPPLY_WEIGHTING.scheme)
+            for metric, from_history in enumerate(self.from_history)
+            if not from_history
+        }
+
+    def score_impression(
+        self, impression: ImpressionLog, entries: Sequence[tuple[str, RecommendationList]]
+    ) -> None:
+        if self.day_pools:
+            day = _impression_day(impression)
+            pool_contexts = self.day_contexts.get(day)
+            if pool_contexts is None:
+                pool_contexts = self.day_contexts[day] = self._pool_contexts(self.day_pools[day])
+        else:
+            pool_contexts = self._pool_contexts(impression.candidate_ids)
+        history = [self.keys[article_id] for article_id in impression.history]
+        contexts_by_scheme: dict[str, list[dict[str, float] | str]] = {}
+        for source, recommendation in entries:
+            masses_by_weighting: dict[RankWeighting, list[dict[str, float] | str]] = {}
+            for point, config in self.grid_configs:
+                weighting = config.weighting
+                contexts = contexts_by_scheme.get(weighting.scheme)
+                if contexts is None:
+                    contexts = contexts_by_scheme[weighting.scheme] = [
+                        self._build(_history_masses, history, metric, weighting.scheme)
+                        if from_history
+                        else pool_contexts[metric]
+                        for metric, from_history in enumerate(self.from_history)
+                    ]
+                masses = masses_by_weighting.get(weighting)
+                if masses is None:
+                    ranked = weighting.cut(recommendation.ranked_items)
+                    rows = [self.keys[article_id] for article_id in ranked]
+                    masses = masses_by_weighting[weighting] = [
+                        self._build(_masses, rows, metric, weighting.scheme)
+                        for metric in range(len(self.metrics))
+                    ]
+                for metric, name in enumerate(self.metrics):
+                    key = (name, source, point.divergence, point.weighting, point.cutoff)
+                    value = _sample(contexts[metric], masses[metric], config)
+                    if isinstance(value, str):
+                        self.skips.append(SkipRow(*key, impression.impression_id, value))
+                    else:
+                        self.samples.append(SampleRow(*key, impression.impression_id, value))
 
 
 def evaluate_recommendations(
@@ -115,11 +208,17 @@ def evaluate_recommendations(
 
     Rows come back sorted on (metric, recommender, divergence, weighting,
     cutoff, pair id).  Fragmentation partners are drawn once per recommender from the seed and
-    reused across the grid, keeping grid points comparable.
+    reused across the grid, keeping grid points comparable.  An impression
+    id that occurs twice in ``impressions`` or in one source's lists is a
+    ValidationError.
     """
     if pool not in POOLS:
         raise ValueError(f"unknown pool {pool!r}")
-    by_impression = {impression.impression_id: impression for impression in impressions}
+    by_impression: dict[str, ImpressionLog] = {}
+    for impression in impressions:
+        if impression.impression_id in by_impression:
+            raise ValidationError(f"duplicate impression id {impression.impression_id!r}")
+        by_impression[impression.impression_id] = impression
     day_pools = daily_pools(impressions) if pool == "daily" else {}
     grid_configs = [
         (
@@ -129,26 +228,31 @@ def evaluate_recommendations(
         for point in grid
     ]
 
-    samples: list[SampleRow] = []
-    skips: list[SkipRow] = []
+    # Scoring goes impression by impression, so that the contexts of an
+    # impression are built once for all of its lists and then dropped.
+    lists_by_impression: dict[str, list[tuple[str, RecommendationList]]] = {}
     for source in sorted(recommendations_by_source):
-        recommendations = recommendations_by_source[source]
-        joined = []
-        for recommendation in recommendations:
-            impression = by_impression.get(recommendation.impression_id)
-            if impression is None:
+        listed = set()
+        for recommendation in recommendations_by_source[source]:
+            impression_id = recommendation.impression_id
+            if impression_id not in by_impression:
                 raise ValidationError(
-                    f"recommendation references unknown impression {recommendation.impression_id!r}"
+                    f"recommendation references unknown impression {impression_id!r}"
                 )
-            joined.append((impression, recommendation))
-        for impression, recommendation in joined:
-            _evaluate_impression(
-                corpus, impression, recommendation, source, grid_configs, day_pools, samples, skips
-            )
+            if impression_id in listed:
+                raise ValidationError(f"{source} lists impression {impression_id!r} twice")
+            listed.add(impression_id)
+            lists_by_impression.setdefault(impression_id, []).append((source, recommendation))
 
+    scorer = _Scorer(corpus, metric_config, grid_configs, day_pools)
+    for impression_id, entries in lists_by_impression.items():
+        scorer.score_impression(by_impression[impression_id], entries)
+    samples, skips = scorer.samples, scorer.skips
+
+    for source in sorted(recommendations_by_source):
         ranked_articles = {
             recommendation.impression_id: _resolve(corpus, recommendation.ranked_items)
-            for recommendation in recommendations
+            for recommendation in recommendations_by_source[source]
         }
         for point, config in grid_configs:
             outcome = sample_fragmentation(ranked_articles, config)
@@ -163,33 +267,3 @@ def evaluate_recommendations(
 
 def _resolve(corpus: Corpus, ids: Iterable[str]) -> list[Article]:
     return [corpus[article_id] for article_id in ids]
-
-
-def _evaluate_impression(
-    corpus: Corpus,
-    impression: ImpressionLog,
-    recommendation: RecommendationList,
-    source: str,
-    grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
-    day_pools: Mapping[str, tuple[str, ...]],
-    samples: list[SampleRow],
-    skips: list[SkipRow],
-) -> None:
-    """Append one impression's per-impression samples and skips."""
-    history = _resolve(corpus, impression.history)
-    recommended = _resolve(corpus, recommendation.ranked_items)
-    if day_pools:
-        candidates = _resolve(corpus, day_pools[_impression_day(impression)])
-    else:
-        candidates = _resolve(corpus, impression.candidate_ids)
-
-    for point, config in grid_configs:
-        for metric_name, metric_fn, context_kind in _PER_IMPRESSION:
-            context = history if context_kind == "history" else candidates
-            key = (metric_name, source, point.divergence, point.weighting, point.cutoff)
-            try:
-                value = metric_fn(context, recommended, config)
-            except EmptyDistributionError as exc:
-                skips.append(SkipRow(*key, impression.impression_id, str(exc)))
-                continue
-            samples.append(SampleRow(*key, impression.impression_id, value))

@@ -24,12 +24,14 @@ from .corpus import Article
 from .distrib import (
     Binning,
     DiscreteDistribution,
+    KeyFn,
     RankWeighting,
     build_distribution,
     history_distribution,
-    smooth_pair,
+    smooth_pair,  # noqa: F401  looked up here by perfbench/child.py's tracer
 )
-from .divergence import KINDS, js, kl
+from .divergence import KINDS, _smoothed_divergence
+from .divergence import js, kl  # noqa: F401  looked up here by perfbench/child.py's tracer
 from .errors import EmptyDistributionError
 from .seeding import derive_rng
 
@@ -98,6 +100,22 @@ def binned_keys(binning: Binning):
     return key_fn
 
 
+def metric_keys(config: MetricConfig) -> dict[str, KeyFn]:
+    """Key function of each per-impression metric."""
+    return {
+        "calibration_topic": subcategory_keys,
+        "calibration_complexity": binned_keys(config.complexity_bins),
+        "activation": binned_keys(config.activation_bins),
+        "representation": actor_keys,
+        "alternative_voices": voice_keys,
+    }
+
+
+# Per-impression metrics whose context is the reading history, discounted
+# like the list but never cut off; the others take the undiscounted pool.
+HISTORY_METRICS = frozenset({"calibration_topic", "calibration_complexity"})
+
+
 def pair_divergence(
     context: DiscreteDistribution,
     recommendation: DiscreteDistribution,
@@ -110,12 +128,40 @@ def pair_divergence(
     context); ``symmetrize_kl`` averages the two KL directions instead,
     which fragmentation uses because neither user is the reference.
     """
-    context_s, recommendation_s = smooth_pair(context, recommendation, config.alpha)
-    if config.divergence == "js":
-        return js(context_s, recommendation_s)
-    if symmetrize_kl:
-        return 0.5 * (kl(context_s, recommendation_s) + kl(recommendation_s, context_s))
-    return kl(context_s, recommendation_s)
+    return _smoothed_divergence(
+        context.masses, recommendation.masses, config.alpha, config.divergence, symmetrize_kl
+    )
+
+
+def _sample(
+    context: Mapping[str, float] | str,
+    recommendation: Mapping[str, float] | str,
+    config: MetricConfig,
+    symmetrize_kl: bool = False,
+) -> float | str:
+    """pair_divergence of two masses, or the skip reason that stands in for
+    the first one that could not be built."""
+    for side in (context, recommendation):
+        if isinstance(side, str):
+            return side
+    return _smoothed_divergence(
+        context, recommendation, config.alpha, config.divergence, symmetrize_kl
+    )
+
+
+def _per_impression(
+    metric: str,
+    context_items: Sequence[Article],
+    recommended: Sequence[Article],
+    config: MetricConfig,
+) -> float:
+    key_fn = metric_keys(config)[metric]
+    if metric in HISTORY_METRICS:
+        context = history_distribution(context_items, key_fn, config.weighting.without_cutoff())
+    else:
+        context = build_distribution(context_items, key_fn, SUPPLY_WEIGHTING)
+    recommendation = build_distribution(recommended, key_fn, config.weighting)
+    return pair_divergence(context, recommendation, config)
 
 
 def calibration_topic(
@@ -124,9 +170,7 @@ def calibration_topic(
     config: MetricConfig,
 ) -> float:
     """Divergence of recommended subcategories from the reading history's."""
-    context = history_distribution(history, subcategory_keys, config.weighting.without_cutoff())
-    recommendation = build_distribution(recommended, subcategory_keys, config.weighting)
-    return pair_divergence(context, recommendation, config)
+    return _per_impression("calibration_topic", history, recommended, config)
 
 
 def calibration_complexity(
@@ -135,10 +179,7 @@ def calibration_complexity(
     config: MetricConfig,
 ) -> float:
     """Calibration over binned reading-ease scores instead of subcategories."""
-    key_fn = binned_keys(config.complexity_bins)
-    context = history_distribution(history, key_fn, config.weighting.without_cutoff())
-    recommendation = build_distribution(recommended, key_fn, config.weighting)
-    return pair_divergence(context, recommendation, config)
+    return _per_impression("calibration_complexity", history, recommended, config)
 
 
 def fragmentation(
@@ -162,10 +203,7 @@ def activation_divergence(
     config: MetricConfig,
 ) -> float:
     """Divergence of recommended activation bins from the candidate pool's."""
-    key_fn = binned_keys(config.activation_bins)
-    context = build_distribution(candidates, key_fn, SUPPLY_WEIGHTING)
-    recommendation = build_distribution(recommended, key_fn, config.weighting)
-    return pair_divergence(context, recommendation, config)
+    return _per_impression("activation", candidates, recommended, config)
 
 
 def representation(
@@ -178,9 +216,7 @@ def representation(
     Articles mentioning several actors weigh in once per actor; articles
     mentioning none drop out entirely.
     """
-    context = build_distribution(candidates, actor_keys, SUPPLY_WEIGHTING)
-    recommendation = build_distribution(recommended, actor_keys, config.weighting)
-    return pair_divergence(context, recommendation, config)
+    return _per_impression("representation", candidates, recommended, config)
 
 
 def alternative_voices(
@@ -189,9 +225,7 @@ def alternative_voices(
     config: MetricConfig,
 ) -> float:
     """Divergence of the minority/majority voice share from the pool's."""
-    context = build_distribution(candidates, voice_keys, SUPPLY_WEIGHTING)
-    recommendation = build_distribution(recommended, voice_keys, config.weighting)
-    return pair_divergence(context, recommendation, config)
+    return _per_impression("alternative_voices", candidates, recommended, config)
 
 
 def fragmentation_partners(ids: Sequence[str], pairs: int, seed: int) -> list[tuple[str, str]]:
@@ -236,16 +270,22 @@ def sample_fragmentation(
     if len(recommendations) < 2:
         result.skips.append(("", "fewer than 2 recommendation lists"))
         return result
+    # Each list's chain distribution is built once, however often it is drawn.
+    chains: dict[str, Mapping[str, float] | str] = {}
+    for list_id, articles in recommendations.items():
+        try:
+            chains[list_id] = build_distribution(articles, chain_keys, config.weighting).masses
+        except EmptyDistributionError as exc:
+            chains[list_id] = str(exc)
     for current, partner in fragmentation_partners(
         list(recommendations), config.fragmentation_pairs, config.seed
     ):
         pair_id = f"{current}|{partner}"
-        try:
-            value = fragmentation(recommendations[current], recommendations[partner], config)
-        except EmptyDistributionError as exc:
-            result.skips.append((pair_id, str(exc)))
-            continue
-        result.samples.append((pair_id, value))
+        value = _sample(chains[current], chains[partner], config, symmetrize_kl=True)
+        if isinstance(value, str):
+            result.skips.append((pair_id, value))
+        else:
+            result.samples.append((pair_id, value))
     return result
 
 

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import newsdiv
 from newsdiv.cli import main
 from newsdiv.config import RunConfig, load_config_file
 from newsdiv.corpus import load_behaviors, load_recommendations
@@ -400,6 +405,16 @@ class TestConfigFile:
         assert f"{config_path}:2: unknown key 'external.'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_external_path_is_input_error(self, fixture_paths, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("external.m =\n", encoding="utf-8")
+        code = main(
+            ["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--config", str(config_path)]
+        )
+        assert code == 1
+        assert "error: config key 'external.m' has an empty path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_match_run_config_fields(self):
         resolved = RunConfig.from_options({})
         default = RunConfig()
@@ -467,6 +482,48 @@ class TestErrorPaths:
         assert code == 1
         assert "--external expects name=path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_external_path_is_input_error(self, fixture_paths, tmp_path, capsys):
+        code = main(["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--external", "m="])
+        assert code == 1
+        assert "error: --external m= has an empty path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_external_impression_is_input_error(self, fixture_paths, tmp_path, capsys):
+        recs = tmp_path / "recs.jsonl"
+        lines = fixture_paths["recommendations"].read_text(encoding="utf-8").splitlines()
+        recs.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        code = main(["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--external", f"m={recs}"])
+        assert code == 1
+        assert f"{recs}:4: duplicate impression id 'I1' (first on line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_behaviors_impression_is_input_error(self, fixture_paths, tmp_path, capsys):
+        behaviors = tmp_path / "behaviors.tsv"
+        lines = fixture_paths["behaviors"].read_text(encoding="utf-8").splitlines()
+        behaviors.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "evaluate",
+                "--news", str(fixture_paths["news"]),
+                "--behaviors", str(behaviors),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert f"{behaviors}:4: duplicate impression id 'I2' (first on line 2)" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        source = Path(newsdiv.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "newsdiv", "--help"],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0
+        assert "usage: newsdiv" in result.stdout
 
     def test_behaviors_referencing_unknown_articles_fail_fast(self, fixture_paths, tmp_path):
         behaviors = tmp_path / "behaviors.tsv"

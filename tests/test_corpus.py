@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -89,6 +90,18 @@ class TestLoadBehaviors:
         with pytest.raises(ParseError, match="no candidates"):
             load_behaviors(path)
 
+    def test_duplicate_impression_rejected_with_line(self, tmp_path):
+        path = tmp_path / "behaviors.tsv"
+        path.write_text(
+            "I1\tU1\t2019-11-12T10:00:00Z\tN1\tN2-0\n"
+            "I2\tU2\t2019-11-12T10:00:00Z\tN1\tN2-0\n"
+            "I1\tU3\t2019-11-12T11:00:00Z\t\tN3-1\n",
+            encoding="utf-8",
+        )
+        message = f"{path}:3: duplicate impression id 'I1' (first on line 1)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_behaviors(path)
+
 
 class TestTimes:
     def test_log_stamp_format(self):
@@ -150,6 +163,50 @@ class TestLoadRecommendations:
     def test_unvalidated_load_skips_pool_checks(self, fixture_paths):
         recs = load_recommendations(fixture_paths["recommendations"])
         assert len(recs) == 3
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_duplicate_impression_rejected_with_line(self, tmp_path, fixture_paths, validate):
+        impressions = load_behaviors(fixture_paths["behaviors"]) if validate else None
+        path = tmp_path / "recs.jsonl"
+        lines = [
+            {"impression_id": "I1", "user_id": "U1", "ranked_item_ids": ["N1"]},
+            {"impression_id": "I2", "user_id": "U2", "ranked_item_ids": ["N5"]},
+            {"impression_id": "I1", "user_id": "U1", "ranked_item_ids": ["N2"]},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        message = f"{path}:3: duplicate impression id 'I1' (first on line 1)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_recommendations(path, impressions)
+
+    @pytest.mark.parametrize("ranked", ['"N1N2"', '{"N1": 1}', '["N1", 2]', "null"])
+    def test_ranking_must_be_a_list_of_ids(self, tmp_path, ranked):
+        path = tmp_path / "recs.jsonl"
+        path.write_text(
+            '{"impression_id": "I1", "user_id": "U1", "ranked_item_ids": []}\n'
+            f'{{"impression_id": "I2", "user_id": "U2", "ranked_item_ids": {ranked}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: 'ranked_item_ids' must be a list of strings")):
+            load_recommendations(path)
+
+    def test_impression_id_must_be_a_string(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        path.write_text('{"impression_id": ["I1"], "user_id": "U1", "ranked_item_ids": []}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:1: 'impression_id' must be a string")):
+            load_recommendations(path)
+
+    def test_every_duplicate_item_named_once(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        path.write_text(
+            json.dumps(
+                {"impression_id": "I1", "user_id": "U1", "ranked_item_ids": ["N3", "N1", "N3", "N2", "N1", "N3"]}
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        message = f"{path}:1: duplicate items in ranking for impression 'I1': N1, N3"
+        with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+            load_recommendations(path)
 
 
 class TestRoundTrip:
