@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import EmptyDistributionError
 
@@ -36,11 +36,6 @@ def rank_weight(scheme: str, rank: int) -> float:
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 
-def rank_weights(scheme: str, count: int) -> list[float]:
-    """Weights of ranks 1 .. ``count``."""
-    return [rank_weight(scheme, rank) for rank in range(1, count + 1)]
-
-
 @dataclass(frozen=True)
 class RankWeighting:
     """Discount scheme plus an optional rank cutoff (None means no cutoff)."""
@@ -59,10 +54,6 @@ class RankWeighting:
 
     def without_cutoff(self) -> "RankWeighting":
         return RankWeighting(self.scheme, None)
-
-    def cut(self, items: Sequence[T]) -> Sequence[T]:
-        """The items ranked within the cutoff."""
-        return items if self.cutoff is None else items[: self.cutoff]
 
 
 @dataclass(frozen=True)
@@ -145,39 +136,6 @@ class DiscreteDistribution:
 
 KeyFn = Callable[[T], Mapping[str, float]]
 
-# An item's keys resolved once: (key, multiplier) pairs, as a KeyFn returns them.
-Keys = tuple[tuple[str, float], ...]
-
-
-def _masses(
-    keyed: Iterable[Iterable[tuple[str, float]]], weights: Sequence[float]
-) -> dict[str, float]:
-    """Normalized masses, in sorted key order, of items already cut off at the
-    rank cutoff; ``weights[i]`` is the rank weight of ``keyed[i]``."""
-    parts: dict[str, list[float]] = {}
-    for keys, item_weight in zip(keyed, weights):
-        for key, multiplier in keys:
-            if multiplier < 0.0:
-                raise ValueError(f"negative key multiplier {multiplier!r} at key {key!r}")
-            if multiplier == 0.0:
-                continue
-            parts.setdefault(key, []).append(item_weight * multiplier)
-    if not parts:
-        raise EmptyDistributionError("empty distribution")
-    sums = {key: math.fsum(values) for key, values in sorted(parts.items())}
-    total = math.fsum(sums.values())
-    return {key: value / total for key, value in sums.items()}
-
-
-def _check_history(history: Sequence) -> None:
-    if not history:
-        raise EmptyDistributionError("no context")
-
-
-def _history_masses(keyed: Sequence[Keys], weights: Sequence[float]) -> dict[str, float]:
-    _check_history(keyed)
-    return _masses(keyed, weights)
-
 
 def build_distribution(
     items: Sequence[T],
@@ -194,9 +152,21 @@ def build_distribution(
     its multiplier, and the normalizer is the total over keys, so masses
     always sum to one.
     """
-    ranked = weighting.cut(items)
-    keyed = (key_fn(item).items() for item in ranked)
-    return DiscreteDistribution(_masses(keyed, rank_weights(weighting.scheme, len(ranked))))
+    ranked = items if weighting.cutoff is None else items[: weighting.cutoff]
+    weights: dict[str, list[float]] = {}
+    for position, item in enumerate(ranked, start=1):
+        item_weight = weighting.weight(position)
+        for key, multiplier in key_fn(item).items():
+            if multiplier < 0.0:
+                raise ValueError(f"negative key multiplier {multiplier!r} at key {key!r}")
+            if multiplier == 0.0:
+                continue
+            weights.setdefault(key, []).append(item_weight * multiplier)
+    if not weights:
+        raise EmptyDistributionError("empty distribution")
+    sums = {key: math.fsum(parts) for key, parts in sorted(weights.items())}
+    total = math.fsum(sums.values())
+    return DiscreteDistribution({key: value / total for key, value in sums.items()})
 
 
 def history_distribution(
@@ -209,25 +179,9 @@ def history_distribution(
     ``history`` must be ordered most recent first, so the discount weighs
     recently read articles higher.
     """
-    _check_history(history)
+    if not history:
+        raise EmptyDistributionError("no context")
     return build_distribution(history, key_fn, weighting)
-
-
-def _smooth(
-    p: Mapping[str, float], q: Mapping[str, float], alpha: float
-) -> tuple[list[str], list[float], list[float]]:
-    """The smoothing of smooth_pair on plain masses: the sorted union domain
-    and the aligned masses of p_bar and q_bar."""
-    _check_alpha(alpha)
-    domain = sorted(p.keys() | q.keys())
-    p_masses = [p.get(key, 0.0) for key in domain]
-    q_masses = [q.get(key, 0.0) for key in domain]
-    keep = 1.0 - alpha
-    p_mixed = [keep * p_mass + alpha * q_mass for p_mass, q_mass in zip(p_masses, q_masses)]
-    q_mixed = [keep * q_mass + alpha * p_mass for p_mass, q_mass in zip(p_masses, q_masses)]
-    p_total = math.fsum(p_mixed)
-    q_total = math.fsum(q_mixed)
-    return domain, [value / p_total for value in p_mixed], [value / q_total for value in q_mixed]
 
 
 def smooth_pair(
@@ -244,8 +198,17 @@ def smooth_pair(
     """
     if isinstance(alpha, SmoothingConfig):
         alpha = alpha.alpha
-    domain, p_bar, q_bar = _smooth(p.masses, q.masses, alpha)
+    else:
+        _check_alpha(alpha)
+    p_masses = p.masses
+    q_masses = q.masses
+    domain = sorted(p_masses.keys() | q_masses.keys())
+    keep = 1.0 - alpha
+    p_mixed = {key: keep * p_masses.get(key, 0.0) + alpha * q_masses.get(key, 0.0) for key in domain}
+    q_mixed = {key: keep * q_masses.get(key, 0.0) + alpha * p_masses.get(key, 0.0) for key in domain}
+    p_total = math.fsum(p_mixed.values())
+    q_total = math.fsum(q_mixed.values())
     return (
-        DiscreteDistribution(dict(zip(domain, p_bar))),
-        DiscreteDistribution(dict(zip(domain, q_bar))),
+        DiscreteDistribution({key: value / p_total for key, value in p_mixed.items()}),
+        DiscreteDistribution({key: value / q_total for key, value in q_mixed.items()}),
     )

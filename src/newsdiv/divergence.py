@@ -9,46 +9,16 @@ so results are exact to the last bit and independent of caller ordering.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
 
-from .distrib import DiscreteDistribution, _smooth
+from .distrib import DiscreteDistribution
 from .errors import UnsmoothedZeroError
 
 KINDS = ("kl", "js")
 
 
 def _check_domains(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
-    if p.domain != q.domain:
+    if p.masses.keys() != q.masses.keys():
         raise ValueError("distributions must share one domain; align them with smooth_pair")
-
-
-def _aligned(
-    p: DiscreteDistribution, q: DiscreteDistribution
-) -> tuple[list[str], list[float], list[float]]:
-    _check_domains(p, q)
-    domain = sorted(p.masses)
-    return domain, [p.masses[key] for key in domain], [q.masses[key] for key in domain]
-
-
-def _kl(domain: Sequence[str], p: Sequence[float], q: Sequence[float]) -> float:
-    terms = []
-    for key, p_mass, q_mass in zip(domain, p, q):
-        if p_mass == 0.0:
-            continue
-        if q_mass == 0.0:
-            raise UnsmoothedZeroError(f"unsmoothed zero at key {key!r}")
-        terms.append(p_mass * math.log2(p_mass / q_mass))
-    return math.fsum(terms)
-
-
-def _js(p: Sequence[float], q: Sequence[float]) -> float:
-    mids = [(p_mass + q_mass) / 2.0 for p_mass, q_mass in zip(p, q)]
-    # fsum is exact, so the order of the terms does not matter
-    terms = [0.5 * mass * math.log2(mass / mid) for mass, mid in zip(p, mids) if mass > 0.0]
-    terms += [0.5 * mass * math.log2(mass / mid) for mass, mid in zip(q, mids) if mass > 0.0]
-    total = math.fsum(terms)
-    # tiny negative totals are rounding noise from p == q
-    return math.sqrt(total) if total > 0.0 else 0.0
 
 
 def kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -57,7 +27,17 @@ def kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     Terms with p(x) == 0 vanish (0 log 0 := 0 by continuity).  p(x) > 0 with
     q(x) == 0 would be infinite and raises UnsmoothedZeroError instead.
     """
-    return _kl(*_aligned(p, q))
+    _check_domains(p, q)
+    terms = []
+    for key in sorted(p.masses):
+        p_mass = p.masses[key]
+        if p_mass == 0.0:
+            continue
+        q_mass = q.masses[key]
+        if q_mass == 0.0:
+            raise UnsmoothedZeroError(f"unsmoothed zero at key {key!r}")
+        terms.append(p_mass * math.log2(p_mass / q_mass))
+    return math.fsum(terms)
 
 
 def js(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -67,26 +47,19 @@ def js(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     sqrt((kl(p, m) + kl(q, m)) / 2); m is positive wherever p or q is, so no
     smoothing is needed for this to be defined.
     """
-    _, p_masses, q_masses = _aligned(p, q)
-    return _js(p_masses, q_masses)
-
-
-def _smoothed_divergence(
-    p: Mapping[str, float],
-    q: Mapping[str, float],
-    alpha: float,
-    kind: str,
-    symmetrize_kl: bool = False,
-) -> float:
-    """``kind`` between the smooth_pair of two plain masses, built without
-    intermediate distributions.  ``symmetrize_kl`` averages the two KL
-    directions."""
-    domain, p_bar, q_bar = _smooth(p, q, alpha)
-    if kind == "js":
-        return _js(p_bar, q_bar)
-    if symmetrize_kl:
-        return 0.5 * (_kl(domain, p_bar, q_bar) + _kl(domain, q_bar, p_bar))
-    return _kl(domain, p_bar, q_bar)
+    _check_domains(p, q)
+    terms = []
+    for key in sorted(p.masses):
+        p_mass = p.masses[key]
+        q_mass = q.masses[key]
+        mid = (p_mass + q_mass) / 2.0
+        if p_mass > 0.0:
+            terms.append(0.5 * p_mass * math.log2(p_mass / mid))
+        if q_mass > 0.0:
+            terms.append(0.5 * q_mass * math.log2(q_mass / mid))
+    total = math.fsum(terms)
+    # tiny negative totals are rounding noise from p == q
+    return math.sqrt(total) if total > 0.0 else 0.0
 
 
 def _generator_kl(t: float) -> float:

@@ -4,21 +4,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import Article, Corpus, ImpressionLog, RecommendationList
-from .distrib import Keys, KeyFn, RankWeighting, _history_masses, _masses, rank_weights
+from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribution
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
     HISTORY_METRICS,
-    SUPPLY_WEIGHTING,
     MetricConfig,
     _sample,
+    context_builder,
     metric_keys,
     sample_fragmentation,
 )
 
 POOLS = ("impression", "daily")
+
+# A distribution built for scoring, or the reason that it could not be built.
+_Built = DiscreteDistribution | str
 
 
 @dataclass(frozen=True)
@@ -94,17 +98,18 @@ def _impression_day(impression: ImpressionLog) -> str:
 
 
 class _ArticleKeys(dict):
-    """Article id -> its keys under each per-impression metric, resolved on
-    first use and kept for the run (the corpus does not change meanwhile)."""
+    """Article id -> its key mapping under each per-impression metric,
+    resolved on first use and kept for the run (the corpus does not change
+    meanwhile)."""
 
     def __init__(self, corpus: Corpus, key_fns: Sequence[KeyFn]):
         super().__init__()
         self.corpus = corpus
         self.key_fns = key_fns
 
-    def __missing__(self, article_id: str) -> tuple[Keys, ...]:
+    def __missing__(self, article_id: str) -> tuple[Mapping[str, float], ...]:
         article = self.corpus[article_id]
-        keys = tuple(tuple(key_fn(article).items()) for key_fn in self.key_fns)
+        keys = tuple(key_fn(article) for key_fn in self.key_fns)
         self[article_id] = keys
         return keys
 
@@ -113,8 +118,8 @@ class _Scorer:
     """The per-impression samples and skips of every list, with each piece
     of work done once: article keys once per run, pool contexts once per
     impression (once per day with daily pools), history contexts once per
-    (impression, weighting) and list masses once per (list, weighting,
-    cutoff)."""
+    (impression, weighting) and list distributions once per (list,
+    weighting, cutoff)."""
 
     def __init__(
         self,
@@ -127,69 +132,69 @@ class _Scorer:
         self.metrics = tuple(key_fns)
         self.from_history = tuple(metric in HISTORY_METRICS for metric in self.metrics)
         self.keys = _ArticleKeys(corpus, tuple(key_fns.values()))
-        self.grid_configs = grid_configs
+        # The key function of each metric over the rows of self.keys.
+        self.row_key_fns = tuple(itemgetter(index) for index in range(len(self.metrics)))
+        self.plans = [
+            (point, config, [context_builder(metric, config.weighting) for metric in self.metrics])
+            for point, config in grid_configs
+        ]
         self.day_pools = day_pools
-        self.day_contexts: dict[str, dict[int, dict[str, float] | str]] = {}
-        self.weights: dict[str, list[float]] = {}
+        self.day_contexts: dict[str, dict[tuple[int, RankWeighting], _Built]] = {}
         self.samples: list[SampleRow] = []
         self.skips: list[SkipRow] = []
 
-    def _build(
-        self, build, rows: Sequence[tuple[Keys, ...]], metric: int, scheme: str
-    ) -> dict[str, float] | str:
-        """The masses of one metric's keys over ``rows``, or the reason that
-        the samples using them are skipped."""
-        weights = self.weights.get(scheme)
-        if weights is None or len(weights) < len(rows):
-            weights = self.weights[scheme] = rank_weights(scheme, 2 * len(rows))
-        try:
-            return build([row[metric] for row in rows], weights)
-        except EmptyDistributionError as exc:
-            return str(exc)
-
-    def _pool_contexts(self, candidate_ids: Sequence[str]) -> dict[int, dict[str, float] | str]:
-        rows = [self.keys[article_id] for article_id in candidate_ids]
-        return {
-            metric: self._build(_masses, rows, metric, SUPPLY_WEIGHTING.scheme)
-            for metric, from_history in enumerate(self.from_history)
-            if not from_history
-        }
+    def _built(
+        self,
+        cache: dict[tuple[int, RankWeighting], _Built],
+        build: Callable,
+        ids: Sequence[str],
+        metric: int,
+        weighting: RankWeighting,
+    ) -> _Built:
+        """``build``'s distribution of one metric's keys over the articles
+        ``ids``, or the reason that the samples using it are skipped; kept in
+        ``cache`` under (metric, weighting)."""
+        built = cache.get((metric, weighting))
+        if built is None:
+            rows = [self.keys[article_id] for article_id in ids]
+            try:
+                built = build(rows, self.row_key_fns[metric], weighting)
+            except EmptyDistributionError as exc:
+                built = str(exc)
+            cache[metric, weighting] = built
+        return built
 
     def score_impression(
         self, impression: ImpressionLog, entries: Sequence[tuple[str, RecommendationList]]
     ) -> None:
         if self.day_pools:
             day = _impression_day(impression)
-            pool_contexts = self.day_contexts.get(day)
-            if pool_contexts is None:
-                pool_contexts = self.day_contexts[day] = self._pool_contexts(self.day_pools[day])
+            pool = self.day_pools[day]
+            pool_contexts = self.day_contexts.setdefault(day, {})
         else:
-            pool_contexts = self._pool_contexts(impression.candidate_ids)
-        history = [self.keys[article_id] for article_id in impression.history]
-        contexts_by_scheme: dict[str, list[dict[str, float] | str]] = {}
+            pool = impression.candidate_ids
+            pool_contexts = {}
+        history_contexts: dict[tuple[int, RankWeighting], _Built] = {}
         for source, recommendation in entries:
-            masses_by_weighting: dict[RankWeighting, list[dict[str, float] | str]] = {}
-            for point, config in self.grid_configs:
-                weighting = config.weighting
-                contexts = contexts_by_scheme.get(weighting.scheme)
-                if contexts is None:
-                    contexts = contexts_by_scheme[weighting.scheme] = [
-                        self._build(_history_masses, history, metric, weighting.scheme)
-                        if from_history
-                        else pool_contexts[metric]
-                        for metric, from_history in enumerate(self.from_history)
-                    ]
-                masses = masses_by_weighting.get(weighting)
-                if masses is None:
-                    ranked = weighting.cut(recommendation.ranked_items)
-                    rows = [self.keys[article_id] for article_id in ranked]
-                    masses = masses_by_weighting[weighting] = [
-                        self._build(_masses, rows, metric, weighting.scheme)
-                        for metric in range(len(self.metrics))
-                    ]
+            lists: dict[tuple[int, RankWeighting], _Built] = {}
+            for point, config, context_builders in self.plans:
                 for metric, name in enumerate(self.metrics):
+                    build, weighting = context_builders[metric]
+                    if self.from_history[metric]:
+                        context = self._built(
+                            history_contexts, build, impression.history, metric, weighting
+                        )
+                    else:
+                        context = self._built(pool_contexts, build, pool, metric, weighting)
+                    recommended = self._built(
+                        lists,
+                        build_distribution,
+                        recommendation.ranked_items,
+                        metric,
+                        config.weighting,
+                    )
                     key = (name, source, point.divergence, point.weighting, point.cutoff)
-                    value = _sample(contexts[metric], masses[metric], config)
+                    value = _sample(context, recommended, config)
                     if isinstance(value, str):
                         self.skips.append(SkipRow(*key, impression.impression_id, value))
                     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import Article
 from .distrib import (
@@ -28,10 +28,9 @@ from .distrib import (
     RankWeighting,
     build_distribution,
     history_distribution,
-    smooth_pair,  # noqa: F401  looked up here by perfbench/child.py's tracer
+    smooth_pair,
 )
-from .divergence import KINDS, _smoothed_divergence
-from .divergence import js, kl  # noqa: F401  looked up here by perfbench/child.py's tracer
+from .divergence import KINDS, js, kl
 from .errors import EmptyDistributionError
 from .seeding import derive_rng
 
@@ -111,9 +110,19 @@ def metric_keys(config: MetricConfig) -> dict[str, KeyFn]:
     }
 
 
-# Per-impression metrics whose context is the reading history, discounted
-# like the list but never cut off; the others take the undiscounted pool.
+# Per-impression metrics whose context is the reading history; the others
+# take the candidate pool.
 HISTORY_METRICS = frozenset({"calibration_topic", "calibration_complexity"})
+
+
+def context_builder(metric: str, weighting: RankWeighting) -> tuple[Callable, RankWeighting]:
+    """How a per-impression metric builds its context for a list weighted by
+    ``weighting``: the function (called with items and a key function) and
+    its weighting.  A reading history is discounted like the list but never
+    cut off, and must not be empty; a candidate pool is not discounted."""
+    if metric in HISTORY_METRICS:
+        return history_distribution, weighting.without_cutoff()
+    return build_distribution, SUPPLY_WEIGHTING
 
 
 def pair_divergence(
@@ -128,25 +137,26 @@ def pair_divergence(
     context); ``symmetrize_kl`` averages the two KL directions instead,
     which fragmentation uses because neither user is the reference.
     """
-    return _smoothed_divergence(
-        context.masses, recommendation.masses, config.alpha, config.divergence, symmetrize_kl
-    )
+    context_s, recommendation_s = smooth_pair(context, recommendation, config.alpha)
+    if config.divergence == "js":
+        return js(context_s, recommendation_s)
+    if symmetrize_kl:
+        return 0.5 * (kl(context_s, recommendation_s) + kl(recommendation_s, context_s))
+    return kl(context_s, recommendation_s)
 
 
 def _sample(
-    context: Mapping[str, float] | str,
-    recommendation: Mapping[str, float] | str,
+    context: DiscreteDistribution | str,
+    recommendation: DiscreteDistribution | str,
     config: MetricConfig,
     symmetrize_kl: bool = False,
 ) -> float | str:
-    """pair_divergence of two masses, or the skip reason that stands in for
-    the first one that could not be built."""
+    """pair_divergence of two distributions, or the skip reason that stands
+    in for the first one that could not be built."""
     for side in (context, recommendation):
         if isinstance(side, str):
             return side
-    return _smoothed_divergence(
-        context, recommendation, config.alpha, config.divergence, symmetrize_kl
-    )
+    return pair_divergence(context, recommendation, config, symmetrize_kl)
 
 
 def _per_impression(
@@ -156,10 +166,8 @@ def _per_impression(
     config: MetricConfig,
 ) -> float:
     key_fn = metric_keys(config)[metric]
-    if metric in HISTORY_METRICS:
-        context = history_distribution(context_items, key_fn, config.weighting.without_cutoff())
-    else:
-        context = build_distribution(context_items, key_fn, SUPPLY_WEIGHTING)
+    build, context_weighting = context_builder(metric, config.weighting)
+    context = build(context_items, key_fn, context_weighting)
     recommendation = build_distribution(recommended, key_fn, config.weighting)
     return pair_divergence(context, recommendation, config)
 
@@ -271,10 +279,10 @@ def sample_fragmentation(
         result.skips.append(("", "fewer than 2 recommendation lists"))
         return result
     # Each list's chain distribution is built once, however often it is drawn.
-    chains: dict[str, Mapping[str, float] | str] = {}
+    chains: dict[str, DiscreteDistribution | str] = {}
     for list_id, articles in recommendations.items():
         try:
-            chains[list_id] = build_distribution(articles, chain_keys, config.weighting).masses
+            chains[list_id] = build_distribution(articles, chain_keys, config.weighting)
         except EmptyDistributionError as exc:
             chains[list_id] = str(exc)
     for current, partner in fragmentation_partners(

@@ -165,7 +165,7 @@ class TestEvaluateRecommendations:
         assert values(per_impression, "activation") != values(per_day, "activation")
 
 
-# The evaluation loop as it was before scores were compiled: every sample
+# The evaluation loop without shared distributions: every sample
 # resolves its articles and calls the public metric functions afresh, and
 # fragmentation rebuilds both chain distributions for every pair.
 REFERENCE_METRICS = (
