@@ -134,6 +134,8 @@ def _load_corpus(config: RunConfig, impressions=None) -> corpus_io.Corpus:
     )
     if config.sidecar:
         load_sidecar(config.sidecar, corpus)
+    for warning in corpus.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return corpus
 
 
@@ -144,8 +146,6 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
     corpus = _load_corpus(config, impressions)
     dump_enriched(corpus, args.output)
     print(f"enriched {len(corpus)} articles -> {args.output} ({len(corpus.warnings)} warnings)")
-    for warning in corpus.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 

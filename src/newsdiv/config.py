@@ -13,34 +13,35 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .corpus import read_lines
 from .distrib import SCHEMES, Binning, RankWeighting
 from .divergence import KINDS
+from .enrich import check_chaining
 from .errors import InputError
-from .evaluate import POOLS
+from .evaluate import POOLS, build_grid
 from .metrics import MetricConfig
 from .recommenders import BASELINES
 
-DEFAULTS: dict[str, str] = {
-    "divergence": "js",
-    "weighting": "mrr",
-    "cutoffs": "0",
-    "alpha": "0.001",
-    "bins": "10",
-    "pairs": "5",
-    "seed": "0",
-    "recommenders": "random,popular",
-    "pool": "impression",
-    "tau": "0.5",
-    "window_days": "3",
-    "divergences": "kl,js",
-    "weightings": "none,mrr",
-    "out": "out",
-}
-
 _PATH_KEYS = ("news", "bodies", "behaviors", "lexicon", "gazetteer", "sidecar")
 
-# Every key that a flag or a config file can set.
-OPTION_KEYS = frozenset((*_PATH_KEYS, *DEFAULTS, "activation_bins", "complexity_bins"))
+
+def _split_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+# How the text of each option that a flag or a config file can set becomes
+# its RunConfig value.  "bins" sets both bin counts; the two keys after it
+# override one each.
+_PARSERS = {
+    **dict.fromkeys(_PATH_KEYS, lambda text: Path(text) if text else None),
+    **dict.fromkeys(("divergence", "weighting", "pool"), str),
+    **dict.fromkeys(("recommenders", "divergences", "weightings"), _split_list),
+    **dict.fromkeys(("alpha", "tau", "window_days"), float),
+    **dict.fromkeys(("bins", "activation_bins", "complexity_bins", "pairs", "seed"), int),
+    "cutoffs": lambda text: [int(part) for part in _split_list(text)],
+    "out": Path,
+}
+OPTION_KEYS = frozenset(_PARSERS)
 
 # key = value, then an optional comment; a quoted value may hold "#".
 _LINE = re.compile(r"""([^=#]*?)\s*=\s*("[^"]*"|'[^']*'|[^#]*?)\s*(?:#.*)?""")
@@ -51,25 +52,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     if not path.exists():
         raise InputError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            match = _LINE.fullmatch(line)
-            if match is None:
-                raise InputError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = match.groups()
-            if key not in OPTION_KEYS and not (key.startswith("external.") and key != "external."):
-                raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-                value = value[1:-1]
-            values[key] = value
+    for lineno, line in read_lines(path, comments=True):
+        match = _LINE.fullmatch(line)
+        if match is None:
+            raise InputError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = match.groups()
+        if key not in OPTION_KEYS and not (key.startswith("external.") and key != "external."):
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+            value = value[1:-1]
+        values[key] = value
     return values
-
-
-def _split_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 @dataclass
@@ -102,34 +95,22 @@ class RunConfig:
 
     @classmethod
     def from_options(cls, options: Mapping[str, object]) -> "RunConfig":
-        """Build from merged string options, validating as it goes."""
-        merged = dict(DEFAULTS)
-        merged.update({k: v for k, v in options.items() if v is not None})
+        """Build from string options over the field defaults, validating as
+        it goes."""
         config = cls()
-        try:
-            for key in _PATH_KEYS:
-                if merged.get(key):
-                    setattr(config, key, Path(str(merged[key])))
-            config.out = Path(str(merged["out"]))
-            config.recommenders = _split_list(str(merged["recommenders"]))
-            config.divergence = str(merged["divergence"])
-            config.weighting = str(merged["weighting"])
-            config.divergences = _split_list(str(merged["divergences"]))
-            config.weightings = _split_list(str(merged["weightings"]))
-            config.cutoffs = [int(part) for part in _split_list(str(merged["cutoffs"]))]
-            config.alpha = float(str(merged["alpha"]))
-            bins = int(str(merged["bins"]))
-            config.activation_bins = int(str(merged.get("activation_bins", bins)))
-            config.complexity_bins = int(str(merged.get("complexity_bins", bins)))
-            config.pairs = int(str(merged["pairs"]))
-            config.seed = int(str(merged["seed"]))
-            config.pool = str(merged["pool"])
-            config.tau = float(str(merged["tau"]))
-            config.window_days = float(str(merged["window_days"]))
-        except ValueError as exc:
-            raise InputError(f"invalid configuration value: {exc}") from None
+        for key, parse in _PARSERS.items():
+            if options.get(key) is None:
+                continue
+            try:
+                value = parse(str(options[key]))
+            except ValueError:
+                raise InputError(f"invalid value for {key}: {options[key]!r}") from None
+            if key == "bins":
+                config.activation_bins = config.complexity_bins = value
+            else:
+                setattr(config, key, value)
 
-        externals = merged.get("externals")
+        externals = options.get("externals")
         if externals:
             for item in externals if isinstance(externals, list) else _split_list(str(externals)):
                 name, separator, path_text = item.partition("=")
@@ -138,7 +119,7 @@ class RunConfig:
                 if not path_text.strip():
                     raise InputError(f"--external {name.strip()}= has an empty path")
                 config.externals[name.strip()] = Path(path_text.strip())
-        for key, value in merged.items():
+        for key, value in options.items():
             if isinstance(key, str) and key.startswith("external."):
                 if not str(value).strip():
                     raise InputError(f"config key {key!r} has an empty path")
@@ -148,10 +129,8 @@ class RunConfig:
         return config
 
     def validate(self) -> None:
-        if not self.cutoffs:
-            raise InputError("cutoffs list must be non-empty")
-        if any(cutoff < 0 for cutoff in self.cutoffs):
-            raise InputError("cutoffs must be >= 0 (0 means no cutoff)")
+        """Check the names here and every other value with the library's own
+        checks, whose ValueError becomes an input error."""
         for name, values, allowed in (
             ("divergence", [self.divergence, *self.divergences], KINDS),
             ("weighting", [self.weighting, *self.weightings], SCHEMES),
@@ -161,10 +140,13 @@ class RunConfig:
             for value in values:
                 if value not in allowed:
                     raise InputError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
-        if not 0.0 <= self.alpha < 0.5:
-            raise InputError(f"alpha must be in [0, 0.5), got {self.alpha}")
-        if self.pairs < 1:
-            raise InputError("pairs must be >= 1")
+        try:
+            self.metric_config()
+            build_grid([self.divergence], [self.weighting], self.cutoffs)
+            build_grid(self.divergences, self.weightings, self.cutoffs)
+            check_chaining(self.tau, self.window_days * 86400.0)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
 
     def metric_config(self) -> MetricConfig:
         return MetricConfig(
@@ -179,22 +161,11 @@ class RunConfig:
 
     def echo(self) -> dict[str, object]:
         """Configuration as written into report.json."""
-        return {
-            "news": str(self.news) if self.news else None,
-            "bodies": str(self.bodies) if self.bodies else None,
-            "behaviors": str(self.behaviors) if self.behaviors else None,
-            "lexicon": str(self.lexicon) if self.lexicon else None,
-            "gazetteer": str(self.gazetteer) if self.gazetteer else None,
-            "sidecar": str(self.sidecar) if self.sidecar else None,
-            "externals": {name: str(path) for name, path in sorted(self.externals.items())},
-            "recommenders": list(self.recommenders),
-            "cutoffs": list(self.cutoffs),
-            "alpha": self.alpha,
-            "activation_bins": self.activation_bins,
-            "complexity_bins": self.complexity_bins,
-            "pairs": self.pairs,
-            "seed": self.seed,
-            "pool": self.pool,
-            "tau": self.tau,
-            "window_days": self.window_days,
+        echo: dict[str, object] = {
+            key: str(path) if (path := getattr(self, key)) else None for key in _PATH_KEYS
         }
+        echo["externals"] = {name: str(path) for name, path in sorted(self.externals.items())}
+        for key in ("recommenders", "cutoffs", "alpha", "activation_bins", "complexity_bins", "pairs",
+                    "seed", "pool", "tau", "window_days"):
+            echo[key] = getattr(self, key)
+        return echo

@@ -12,17 +12,19 @@ File formats (all UTF-8, LF line endings):
 * recommendations: JSON lines ``{"impression_id", "user_id",
   "ranked_item_ids"}``.
 
-The loaders keep input order, so parsed lists line up with file rows.
+The loaders keep input order, so parsed lists line up with file rows.  An
+error about a line starts with ``path:lineno``.
 """
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -163,12 +165,86 @@ def format_time(epoch: float) -> str:
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _read_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with open(path, encoding="utf-8") as handle:
+def read_lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """Line number and text of each non-blank line of a UTF-8 file, without
+    its line ending.  With ``comments``, lines are also trimmed and those that
+    start with ``#`` are skipped.  Bytes that are not UTF-8 are a ParseError."""
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.strip():
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
+            if comments:
+                line = line.strip()
+            if line.strip() and not (comments and line.startswith("#")):
                 yield lineno, line
+
+
+_REQUIRED = object()
+_KINDS = {str: "a string", list: "a list of strings", int: "an integer", bool: "true or false",
+          float: "a finite number"}
+
+
+class Record(NamedTuple):
+    """One JSON-lines object and the line it came from."""
+
+    path: Path
+    lineno: int
+    fields: dict
+
+    @property
+    def where(self) -> str:
+        return f"{self.path}:{self.lineno}"
+
+    def get(self, name: str, kind: type, default: object = _REQUIRED):
+        """Field ``name`` as ``kind``: str, bool, int, list (of str) or float
+        (any finite number).  A missing or null field gives ``default``;
+        without one it is an error, and so is a value of another type."""
+        value = self.fields.get(name)
+        if value is None:
+            if default is not _REQUIRED:
+                return default
+            if name not in self.fields:
+                raise ParseError(f"{self.where}: missing field {name!r}")
+        elif kind is float:
+            # Comparisons reject NaN, infinities and ints too large for a float.
+            if type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
+                return float(value)
+        elif kind is list:
+            if type(value) is list and all(type(item) is str for item in value):
+                return value
+        elif type(value) is kind:
+            return value
+        raise ParseError(f"{self.where}: {name!r} must be {_KINDS[kind]}, got {value!r:.60}")
+
+
+def read_records(path: Path) -> Iterator[Record]:
+    """Each non-blank line of a JSON-lines file, which must hold an object."""
+    for lineno, line in read_lines(path):
+        try:
+            fields = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if type(fields) is not dict:
+            raise ParseError(f"{path}:{lineno}: expected a JSON object, got {line:.60}")
+        yield Record(path, lineno, fields)
+
+
+def check_unique(
+    first_lines: dict[str, int], key: str, path: Path, lineno: int, what: str, error=ValidationError
+) -> None:
+    """Note the line on which ``key`` first occurs; a repeat is an ``error``."""
+    first = first_lines.setdefault(key, lineno)
+    if first != lineno:
+        raise error(f"{path}:{lineno}: duplicate {what} {key!r} (first on line {first})")
+
+
+def _timestamp(text: str, path: Path, lineno: int) -> float:
+    try:
+        return parse_time(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
 
 
 def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -> Corpus:
@@ -180,7 +256,8 @@ def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -
     """
     news_path = Path(news_path)
     corpus = Corpus()
-    for lineno, line in _read_lines(news_path):
+    first_lines: dict[str, int] = {}
+    for lineno, line in read_lines(news_path):
         columns = line.split("\t")
         if len(columns) < 5:
             raise ParseError(
@@ -189,8 +266,7 @@ def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -
         article_id, category, subcategory, title, abstract = columns[:5]
         if not article_id:
             raise ParseError(f"{news_path}:{lineno}: empty article id")
-        if article_id in corpus:
-            raise ParseError(f"{news_path}:{lineno}: duplicate article id {article_id!r}")
+        check_unique(first_lines, article_id, news_path, lineno, "article id", ParseError)
         corpus.add(
             Article(
                 id=article_id,
@@ -206,28 +282,24 @@ def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -
 
 
 def _load_bodies(path: Path, corpus: Corpus) -> None:
-    for lineno, line in _read_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        article_id = record.get("id")
-        if not isinstance(article_id, str) or not article_id:
-            raise ParseError(f"{path}:{lineno}: missing or invalid 'id'")
+    for record in read_records(path):
+        article_id = record.get("id", str)
+        if not article_id:
+            raise ParseError(f"{record.where}: empty 'id'")
+        published = record.fields.get("published_at")
+        if type(published) is str:
+            published = _timestamp(published, path, record.lineno)
+        else:
+            published = record.get("published_at", float, None)
+        body = record.get("body", str, None)
         if article_id not in corpus:
-            corpus.warn(f"{path}:{lineno}: body for unknown article {article_id!r} skipped")
+            corpus.warn(f"{record.where}: body for unknown article {article_id!r} skipped")
             continue
-        published = record.get("published_at")
-        if isinstance(published, str):
-            published = parse_time(published)
-        elif published is not None:
-            published = float(published)
         article = corpus[article_id]
-        body = record.get("body")
         corpus.update(
             replace(
                 article,
-                body=body if isinstance(body, str) else article.body,
+                body=body if body is not None else article.body,
                 published_at=published if published is not None else article.published_at,
             )
         )
@@ -242,20 +314,15 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
     """
     path = Path(path)
     impressions = []
-    first_line: dict[str, int] = {}
-    for lineno, line in _read_lines(path):
+    first_lines: dict[str, int] = {}
+    for lineno, line in read_lines(path):
         columns = line.split("\t")
         if len(columns) < 5:
             raise ParseError(
                 f"{path}:{lineno}: expected 5 tab-separated columns, got {len(columns)}"
             )
         impression_id, user_id, time_text, history_text, candidates_text = columns[:5]
-        if impression_id in first_line:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate impression id {impression_id!r} "
-                f"(first on line {first_line[impression_id]})"
-            )
-        first_line[impression_id] = lineno
+        check_unique(first_lines, impression_id, path, lineno, "impression id")
         candidates = []
         for token in candidates_text.split():
             match = _CANDIDATE_RE.match(token)
@@ -267,15 +334,11 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
             candidates.append((match.group(1), match.group(2) == "1"))
         if not candidates:
             raise ParseError(f"{path}:{lineno}: impression {impression_id!r} has no candidates")
-        try:
-            time_value = parse_time(time_text)
-        except ParseError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
         impressions.append(
             ImpressionLog(
                 impression_id=impression_id,
                 user_id=user_id,
-                time=time_value,
+                time=_timestamp(time_text, path, lineno),
                 candidates=tuple(candidates),
                 history=tuple(reversed(history_text.split())),
             )
@@ -304,43 +367,27 @@ def load_recommendations(
         else None
     )
     recommendations = []
-    first_line: dict[str, int] = {}
-    for lineno, line in _read_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        try:
-            impression_id = record["impression_id"]
-            user_id = record["user_id"]
-            ranked = record["ranked_item_ids"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}:{lineno}: missing field {exc}") from None
-        if not isinstance(impression_id, str):
-            raise ParseError(f"{path}:{lineno}: 'impression_id' must be a string")
-        if not isinstance(ranked, list) or not all(isinstance(item, str) for item in ranked):
-            raise ParseError(f"{path}:{lineno}: 'ranked_item_ids' must be a list of strings")
-        if impression_id in first_line:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate impression id {impression_id!r} "
-                f"(first on line {first_line[impression_id]})"
-            )
-        first_line[impression_id] = lineno
+    first_lines: dict[str, int] = {}
+    for record in read_records(path):
+        impression_id = record.get("impression_id", str)
+        user_id = record.get("user_id", str)
+        ranked = record.get("ranked_item_ids", list)
+        check_unique(first_lines, impression_id, path, record.lineno, "impression id")
         duplicates = sorted(item for item, count in Counter(ranked).items() if count > 1)
         if duplicates:
             raise ValidationError(
-                f"{path}:{lineno}: duplicate items in ranking for impression "
+                f"{record.where}: duplicate items in ranking for impression "
                 f"{impression_id!r}: {', '.join(duplicates)}"
             )
         if by_impression is not None:
             impression = by_impression.get(impression_id)
             if impression is None:
-                raise ValidationError(f"{path}:{lineno}: unknown impression id {impression_id!r}")
+                raise ValidationError(f"{record.where}: unknown impression id {impression_id!r}")
             pool = set(impression.candidate_ids)
             outside = sorted(item for item in ranked if item not in pool)
             if outside:
                 raise ValidationError(
-                    f"{path}:{lineno}: items outside the candidate pool of impression "
+                    f"{record.where}: items outside the candidate pool of impression "
                     f"{impression_id!r}: {', '.join(outside)}"
                 )
         recommendations.append(

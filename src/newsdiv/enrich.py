@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Article, Corpus, ImpressionLog
-from .errors import ParseError
+from .corpus import Article, Corpus, ImpressionLog, check_unique, read_lines, read_records
+from .errors import ParseError, ValidationError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _WORD_RE = re.compile(r"\w+")
@@ -63,22 +63,18 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
     """Polarity lexicon TSV ``token <tab> polarity`` with polarity in [-1, 1]."""
     path = Path(path)
     lexicon: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'token<TAB>polarity'")
-            token, polarity_text = parts
-            try:
-                polarity = float(polarity_text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: invalid polarity {polarity_text!r}") from None
-            if not -1.0 <= polarity <= 1.0:
-                raise ParseError(f"{path}:{lineno}: polarity {polarity} outside [-1, 1]")
-            lexicon[token.lower()] = polarity
+    for lineno, line in read_lines(path, comments=True):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'token<TAB>polarity'")
+        token, polarity_text = parts
+        try:
+            polarity = float(polarity_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: invalid polarity {polarity_text!r}") from None
+        if not -1.0 <= polarity <= 1.0:
+            raise ParseError(f"{path}:{lineno}: polarity {polarity} outside [-1, 1]")
+        lexicon[token.lower()] = polarity
     return lexicon
 
 
@@ -107,13 +103,10 @@ class Gazetteer:
     on word boundaries, every occurrence counting as one mention."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
-        seen = set()
-        for entry in entries:
-            if entry.canonical_id in seen:
-                raise ParseError(f"duplicate gazetteer id {entry.canonical_id!r}")
-            seen.add(entry.canonical_id)
         self.entries = tuple(entries)
         self._by_id = {entry.canonical_id: entry for entry in self.entries}
+        if len(self._by_id) < len(self.entries):
+            raise ParseError("duplicate gazetteer ids")
         # A match of \b<alias>\b for an alias opening with a word character
         # starts where one of the text's \w+ runs equals the alias's leading
         # \w+ run (its lead word), so patterns are indexed by lead word.
@@ -149,34 +142,26 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     "is_political", "in_knowledge_base"}``."""
     path = Path(path)
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            kind = record.get("kind")
-            if kind not in ("person", "party"):
-                raise ParseError(f"{path}:{lineno}: kind must be 'person' or 'party', got {kind!r}")
-            aliases = [str(alias).lower() for alias in record.get("aliases", [])]
-            if not aliases or any(not alias for alias in aliases):
-                raise ParseError(f"{path}:{lineno}: aliases must be non-empty")
-            entries.append(
-                GazetteerEntry(
-                    canonical_id=str(record["canonical_id"]),
-                    kind=kind,
-                    aliases=tuple(aliases),
-                    is_political=bool(record.get("is_political", False)),
-                    in_knowledge_base=bool(record.get("in_knowledge_base", False)),
-                )
+    first_lines: dict[str, int] = {}
+    for record in read_records(path):
+        canonical_id = record.get("canonical_id", str)
+        kind = record.get("kind", str, None)
+        if kind not in ("person", "party"):
+            raise ParseError(f"{record.where}: kind must be 'person' or 'party', got {kind!r}")
+        aliases = [alias.lower() for alias in record.get("aliases", list, [])]
+        if not aliases or not all(aliases):
+            raise ParseError(f"{record.where}: aliases must be non-empty")
+        check_unique(first_lines, canonical_id, path, record.lineno, "gazetteer id", ParseError)
+        entries.append(
+            GazetteerEntry(
+                canonical_id=canonical_id,
+                kind=kind,
+                aliases=tuple(aliases),
+                is_political=record.get("is_political", bool, False),
+                in_knowledge_base=record.get("in_knowledge_base", bool, False),
             )
-    try:
-        return Gazetteer(entries)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        )
+    return Gazetteer(entries)
 
 
 def tag_entities(text: str, gazetteer: Gazetteer) -> tuple[frozenset[str], int, int]:
@@ -245,6 +230,14 @@ class _Chain:
         self._centroid = None
 
 
+def check_chaining(tau: float, window_seconds: float) -> None:
+    """Reject a cosine threshold outside (0, 1] and a negative or NaN window."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    if not window_seconds >= 0.0:
+        raise ValueError(f"chaining window must be >= 0 seconds, got {window_seconds}")
+
+
 def chain_articles(
     articles: Sequence[Article],
     tau: float = DEFAULT_TAU,
@@ -259,8 +252,7 @@ def chain_articles(
     caller should pass the whole catalog, sorted by timestamp ascending.
     Returns article id -> chain id.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    check_chaining(tau, window_seconds)
     document_tokens = {article.id: tokenize(article.text()) for article in articles}
     frequency: dict[str, int] = {}
     for tokens in document_tokens.values():
@@ -361,57 +353,41 @@ def enrich_corpus(
     return corpus
 
 
-_SIDECAR_FIELDS = (
-    "complexity",
-    "activation",
-    "chain_id",
-    "political_actors",
-    "minority_mentions",
-    "majority_mentions",
-)
+_SIDECAR_FIELDS = {
+    **dict.fromkeys(("complexity", "activation"), float),
+    **dict.fromkeys(("minority_mentions", "majority_mentions"), int),
+    "chain_id": str,
+    "political_actors": list,
+}
 
 
 def load_sidecar(path: str | Path, corpus: Corpus) -> Corpus:
     """Override enrichment fields from a JSON-lines sidecar.
 
     Records carry ``id`` plus any subset of the enrichment fields; present
-    fields replace computed values, absent fields stay untouched.  Records
-    for unknown ids or with out-of-range values are rejected with a warning.
+    fields replace computed values, absent or null fields stay untouched.  A
+    field of the wrong type is an error; records for unknown ids or with
+    out-of-range values are rejected with a warning.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            article_id = record.get("id")
-            if article_id not in corpus:
-                corpus.warn(f"{path}:{lineno}: sidecar record for unknown article {article_id!r} skipped")
-                continue
-            overrides = {}
-            for field_name in _SIDECAR_FIELDS:
-                if field_name not in record or record[field_name] is None:
-                    continue
-                value = record[field_name]
-                if field_name == "political_actors":
-                    value = frozenset(str(actor) for actor in value)
-                elif field_name in ("minority_mentions", "majority_mentions"):
-                    value = int(value)
-                elif field_name == "complexity" or field_name == "activation":
-                    value = float(value)
-                overrides[field_name] = value
-            if not overrides:
-                continue
-            try:
-                updated = replace(corpus[article_id], **overrides)
-            except Exception as exc:
-                corpus.warn(f"{path}:{lineno}: record for {article_id!r} rejected ({exc})")
-                continue
-            corpus.update(updated)
+    for record in read_records(path):
+        article_id = record.get("id", str)
+        overrides = {}
+        for name, kind in _SIDECAR_FIELDS.items():
+            value = record.get(name, kind, None)
+            if value is not None:
+                overrides[name] = frozenset(value) if kind is list else value
+        if article_id not in corpus:
+            corpus.warn(f"{record.where}: sidecar record for unknown article {article_id!r} skipped")
+            continue
+        if not overrides:
+            continue
+        try:
+            updated = replace(corpus[article_id], **overrides)
+        except ValidationError as exc:
+            corpus.warn(f"{record.where}: record for {article_id!r} rejected ({exc})")
+            continue
+        corpus.update(updated)
     return corpus
 
 

@@ -75,8 +75,11 @@ def build_grid(
     weightings: Sequence[str],
     cutoffs: Sequence[int],
 ) -> list[GridPoint]:
-    if not cutoffs:
-        raise ValueError("cutoffs list must be non-empty")
+    if not cutoffs or min(cutoffs) < 0:
+        raise ValueError("cutoffs must be a non-empty list of values >= 0 (0 means no cutoff)")
+    for name, values in (("divergences", divergences), ("weightings", weightings), ("cutoffs", cutoffs)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} list has duplicates: {', '.join(map(str, values))}")
     return [
         GridPoint(divergence, weighting, cutoff)
         for divergence in divergences

@@ -26,6 +26,7 @@ from .distrib import (
     DiscreteDistribution,
     KeyFn,
     RankWeighting,
+    _check_alpha,
     build_distribution,
     history_distribution,
     smooth_pair,
@@ -65,6 +66,7 @@ class MetricConfig:
     def __post_init__(self) -> None:
         if self.divergence not in KINDS:
             raise ValueError(f"unknown divergence {self.divergence!r}")
+        _check_alpha(self.alpha)
         if self.fragmentation_pairs < 1:
             raise ValueError("fragmentation_pairs must be >= 1")
 

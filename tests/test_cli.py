@@ -545,3 +545,51 @@ class TestErrorPaths:
             ["evaluate", *base_args(fixture_paths, tmp_path / "out", "--cutoffs", "-3")]
         )
         assert code == 1
+
+
+class TestOptionsCheckedByTheLibrary:
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tau", "0"], "tau must be in (0, 1], got 0.0"),
+            (["--tau", "2"], "tau must be in (0, 1], got 2.0"),
+            (["--tau", "nan"], "tau must be in (0, 1], got nan"),
+            (["--bins", "1"], "degenerate binning: bin_count must be >= 2, got 1"),
+            (["--window-days", "-1"], "chaining window must be >= 0 seconds, got -86400.0"),
+            (["--window-days", "nan"], "chaining window must be >= 0 seconds, got nan"),
+            (["--alpha", "0.5"], "alpha must be in [0, 0.5), got 0.5"),
+            (["--pairs", "0"], "fragmentation_pairs must be >= 1"),
+            (["--pairs", "x"], "invalid value for pairs: 'x'"),
+        ],
+    )
+    def test_exit_one_with_the_library_message(self, fixture_paths, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "out"
+        assert main(["evaluate", *base_args(fixture_paths, out_dir), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("evaluate", ["--cutoffs", "10,10"]),
+            ("sensitivity", ["--divergences", "js,js"]),
+            ("sensitivity", ["--weightings", "mrr,mrr"]),
+        ],
+    )
+    def test_duplicate_grid_values_are_rejected(self, fixture_paths, tmp_path, capsys, command, flags):
+        out_dir = tmp_path / "out"
+        assert main([command, *base_args(fixture_paths, out_dir), *flags]) == 1
+        assert "list has duplicates" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("command", ["enrich", "evaluate", "sensitivity"])
+    def test_every_subcommand_prints_the_corpus_warnings(self, fixture_paths, tmp_path, capsys, command):
+        args = base_args(fixture_paths, tmp_path / "out", "--cutoffs", "0")
+        if command == "enrich":  # enrich has no --out or metric flags
+            args = [*args[:-4], "-o", str(tmp_path / "enriched.jsonl")]
+        assert main([command, *args]) == 0
+        bodies = fixture_paths["bodies"]
+        warning = f"warning: {bodies}:9: body for unknown article 'N9' skipped\n"
+        assert capsys.readouterr().err == warning

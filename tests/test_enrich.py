@@ -212,6 +212,11 @@ class TestChaining:
         with pytest.raises(ValueError):
             chain_articles([], tau=0.0)
 
+    @pytest.mark.parametrize("window", [-1.0, math.nan])
+    def test_negative_or_nan_window_rejected(self, window):
+        with pytest.raises(ValueError, match="chaining window"):
+            chain_articles([], window_seconds=window)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(

@@ -72,6 +72,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(["js"], ["mrr"], [])
 
+    @pytest.mark.parametrize(
+        "divergences,weightings,cutoffs",
+        [(["js", "js"], ["mrr"], [0]), (["js"], ["mrr", "mrr"], [0]), (["js"], ["mrr"], [10, 0, 10])],
+    )
+    def test_duplicate_values_rejected(self, divergences, weightings, cutoffs):
+        with pytest.raises(ValueError, match="list has duplicates"):
+            build_grid(divergences, weightings, cutoffs)
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            build_grid(["js"], ["mrr"], [-3])
+
     def test_zero_cutoff_means_none(self):
         assert GridPoint("js", "mrr", 0).rank_weighting().cutoff is None
         assert GridPoint("js", "mrr", 10).rank_weighting().cutoff == 10

@@ -86,6 +86,11 @@ class TestCalibrationComplexity:
         with pytest.raises(ValueError, match="degenerate binning"):
             Binning("complexity", 1, 0.0, 100.0)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 0.5, math.nan])
+    def test_alpha_checked_by_the_config(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            MetricConfig(alpha=alpha)
+
 
 class TestFragmentation:
     def test_identical_lists(self):
