@@ -356,8 +356,8 @@ def load_recommendations(
 
     Validation rejects a ranking that is not a list of ids, an impression
     listed twice, duplicate items within a ranking, and (given the
-    impressions) unknown impression ids and items outside the impression's
-    candidate pool.
+    impressions) unknown impression ids, a user id other than the
+    impression's and items outside the impression's candidate pool.
     """
     path = Path(path)
     label = source if source is not None else f"external:{path.stem}"
@@ -383,6 +383,11 @@ def load_recommendations(
             impression = by_impression.get(impression_id)
             if impression is None:
                 raise ValidationError(f"{record.where}: unknown impression id {impression_id!r}")
+            if user_id != impression.user_id:
+                raise ValidationError(
+                    f"{record.where}: user id {user_id!r} does not match impression "
+                    f"{impression_id!r}, which belongs to {impression.user_id!r}"
+                )
             pool = set(impression.candidate_ids)
             outside = sorted(item for item in ranked if item not in pool)
             if outside:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import EmptyDistributionError
@@ -36,6 +37,13 @@ def rank_weight(scheme: str, rank: int) -> float:
     raise ValueError(f"unknown weighting scheme {scheme!r}")
 
 
+@lru_cache(maxsize=1024)
+def rank_weights(scheme: str, length: int) -> tuple[float, ...]:
+    """``rank_weight`` of ranks 1 .. ``length``, computed once per (scheme,
+    length)."""
+    return tuple(rank_weight(scheme, rank) for rank in range(1, length + 1))
+
+
 @dataclass(frozen=True)
 class RankWeighting:
     """Discount scheme plus an optional rank cutoff (None means no cutoff)."""
@@ -48,9 +56,6 @@ class RankWeighting:
             raise ValueError(f"unknown weighting scheme {self.scheme!r}")
         if self.cutoff is not None and self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1 when set, got {self.cutoff}")
-
-    def weight(self, rank: int) -> float:
-        return rank_weight(self.scheme, rank)
 
     def without_cutoff(self) -> "RankWeighting":
         return RankWeighting(self.scheme, None)
@@ -154,8 +159,7 @@ def build_distribution(
     """
     ranked = items if weighting.cutoff is None else items[: weighting.cutoff]
     weights: dict[str, list[float]] = {}
-    for position, item in enumerate(ranked, start=1):
-        item_weight = weighting.weight(position)
+    for item, item_weight in zip(ranked, rank_weights(weighting.scheme, len(ranked))):
         for key, multiplier in key_fn(item).items():
             if multiplier < 0.0:
                 raise ValueError(f"negative key multiplier {multiplier!r} at key {key!r}")
@@ -184,6 +188,21 @@ def history_distribution(
     return build_distribution(history, key_fn, weighting)
 
 
+def _smoothed_masses(
+    p_masses: Mapping[str, float], q_masses: Mapping[str, float], alpha: float
+) -> tuple[list[str], list[float], list[float]]:
+    """The sorted union domain of two mass mappings and the masses of
+    ``smooth_pair``'s (p_bar, q_bar) over it, as two lists aligned with the
+    domain.  ``alpha`` must already be checked."""
+    domain = sorted(p_masses.keys() | q_masses.keys())
+    keep = 1.0 - alpha
+    p_mixed = [keep * p_masses.get(key, 0.0) + alpha * q_masses.get(key, 0.0) for key in domain]
+    q_mixed = [keep * q_masses.get(key, 0.0) + alpha * p_masses.get(key, 0.0) for key in domain]
+    p_total = math.fsum(p_mixed)
+    q_total = math.fsum(q_mixed)
+    return domain, [value / p_total for value in p_mixed], [value / q_total for value in q_mixed]
+
+
 def smooth_pair(
     p: DiscreteDistribution,
     q: DiscreteDistribution,
@@ -200,15 +219,8 @@ def smooth_pair(
         alpha = alpha.alpha
     else:
         _check_alpha(alpha)
-    p_masses = p.masses
-    q_masses = q.masses
-    domain = sorted(p_masses.keys() | q_masses.keys())
-    keep = 1.0 - alpha
-    p_mixed = {key: keep * p_masses.get(key, 0.0) + alpha * q_masses.get(key, 0.0) for key in domain}
-    q_mixed = {key: keep * q_masses.get(key, 0.0) + alpha * p_masses.get(key, 0.0) for key in domain}
-    p_total = math.fsum(p_mixed.values())
-    q_total = math.fsum(q_mixed.values())
+    domain, p_bar, q_bar = _smoothed_masses(p.masses, q.masses, alpha)
     return (
-        DiscreteDistribution({key: value / p_total for key, value in p_mixed.items()}),
-        DiscreteDistribution({key: value / q_total for key, value in q_mixed.items()}),
+        DiscreteDistribution(dict(zip(domain, p_bar))),
+        DiscreteDistribution(dict(zip(domain, q_bar))),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .distrib import DiscreteDistribution
+from .distrib import DiscreteDistribution, _check_alpha, _smoothed_masses
 from .errors import UnsmoothedZeroError
 
 KINDS = ("kl", "js")
@@ -21,37 +21,50 @@ def _check_domains(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
         raise ValueError("distributions must share one domain; align them with smooth_pair")
 
 
-def kl(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def _aligned(
+    p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None
+) -> tuple[list[str], list[float], list[float]]:
+    """The sorted domain and the masses of p and q over it.  Without
+    ``alpha`` the two must share one domain; with it they are smoothed on
+    their union domain exactly as ``smooth_pair`` does, without building the
+    smoothed distributions."""
+    if alpha is None:
+        _check_domains(p, q)
+        domain = sorted(p.masses)
+        return domain, [p.masses[key] for key in domain], [q.masses[key] for key in domain]
+    _check_alpha(alpha)
+    return _smoothed_masses(p.masses, q.masses, alpha)
+
+
+def kl(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None = None) -> float:
     """sum_x p(x) log2(p(x) / q(x)), in bits.  Asymmetric, >= 0.
 
     Terms with p(x) == 0 vanish (0 log 0 := 0 by continuity).  p(x) > 0 with
     q(x) == 0 would be infinite and raises UnsmoothedZeroError instead.
+    With ``alpha``, equals ``kl(*smooth_pair(p, q, alpha))``.
     """
-    _check_domains(p, q)
+    domain, p_masses, q_masses = _aligned(p, q, alpha)
     terms = []
-    for key in sorted(p.masses):
-        p_mass = p.masses[key]
+    for key, p_mass, q_mass in zip(domain, p_masses, q_masses):
         if p_mass == 0.0:
             continue
-        q_mass = q.masses[key]
         if q_mass == 0.0:
             raise UnsmoothedZeroError(f"unsmoothed zero at key {key!r}")
         terms.append(p_mass * math.log2(p_mass / q_mass))
     return math.fsum(terms)
 
 
-def js(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def js(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None = None) -> float:
     """Square root of the Jensen-Shannon divergence, log base 2, in [0, 1].
 
     Evaluated through the mixture m = (p + q) / 2 as
     sqrt((kl(p, m) + kl(q, m)) / 2); m is positive wherever p or q is, so no
-    smoothing is needed for this to be defined.
+    smoothing is needed for this to be defined.  With ``alpha``, equals
+    ``js(*smooth_pair(p, q, alpha))``.
     """
-    _check_domains(p, q)
+    _, p_masses, q_masses = _aligned(p, q, alpha)
     terms = []
-    for key in sorted(p.masses):
-        p_mass = p.masses[key]
-        q_mass = q.masses[key]
+    for p_mass, q_mass in zip(p_masses, q_masses):
         mid = (p_mass + q_mass) / 2.0
         if p_mass > 0.0:
             terms.append(0.5 * p_mass * math.log2(p_mass / mid))

@@ -60,9 +60,13 @@ def complexity(text: str) -> float | None:
 
 
 def load_lexicon(path: str | Path) -> dict[str, float]:
-    """Polarity lexicon TSV ``token <tab> polarity`` with polarity in [-1, 1]."""
+    """Polarity lexicon TSV ``token <tab> polarity`` with polarity in [-1, 1].
+
+    Tokens match case-insensitively, so a token listed twice, in any case,
+    is a ParseError."""
     path = Path(path)
     lexicon: dict[str, float] = {}
+    first_lines: dict[str, int] = {}
     for lineno, line in read_lines(path, comments=True):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -74,7 +78,9 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
             raise ParseError(f"{path}:{lineno}: invalid polarity {polarity_text!r}") from None
         if not -1.0 <= polarity <= 1.0:
             raise ParseError(f"{path}:{lineno}: polarity {polarity} outside [-1, 1]")
-        lexicon[token.lower()] = polarity
+        token = token.lower()
+        check_unique(first_lines, token, path, lineno, "token", ParseError)
+        lexicon[token] = polarity
     return lexicon
 
 

@@ -35,7 +35,7 @@ class GridPoint:
         return RankWeighting(self.weighting, self.cutoff if self.cutoff > 0 else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyedRow:
     """The key fields that a sample and a skip share."""
 
@@ -54,12 +54,12 @@ class KeyedRow:
         return (*self.config_key(), self.pair_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRow(KeyedRow):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkipRow(KeyedRow):
     reason: str
 
@@ -262,8 +262,9 @@ def evaluate_recommendations(
             recommendation.impression_id: _resolve(corpus, recommendation.ranked_items)
             for recommendation in recommendations_by_source[source]
         }
+        chains: dict[RankWeighting, dict[str, _Built]] = {}
         for point, config in grid_configs:
-            outcome = sample_fragmentation(ranked_articles, config)
+            outcome = sample_fragmentation(ranked_articles, config, chains)
             key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
             samples.extend(SampleRow(*key, pair_id, value) for pair_id, value in outcome.samples)
             skips.extend(SkipRow(*key, pair_id, reason) for pair_id, reason in outcome.skips)

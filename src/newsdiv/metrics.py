@@ -29,7 +29,7 @@ from .distrib import (
     _check_alpha,
     build_distribution,
     history_distribution,
-    smooth_pair,
+    smooth_pair,  # noqa: F401 - not called here; perfbench/child.py wraps metrics.smooth_pair
 )
 from .divergence import KINDS, js, kl
 from .errors import EmptyDistributionError
@@ -133,18 +133,19 @@ def pair_divergence(
     config: MetricConfig,
     symmetrize_kl: bool = False,
 ) -> float:
-    """Smooth the pair on its union domain, then diverge.
+    """Diverge the pair after smoothing it on its union domain (``js`` and
+    ``kl`` smooth with ``config.alpha``).
 
     KL runs context-first (how far the recommendation drifts from the
     context); ``symmetrize_kl`` averages the two KL directions instead,
     which fragmentation uses because neither user is the reference.
     """
-    context_s, recommendation_s = smooth_pair(context, recommendation, config.alpha)
+    alpha = config.alpha
     if config.divergence == "js":
-        return js(context_s, recommendation_s)
+        return js(context, recommendation, alpha)
     if symmetrize_kl:
-        return 0.5 * (kl(context_s, recommendation_s) + kl(recommendation_s, context_s))
-    return kl(context_s, recommendation_s)
+        return 0.5 * (kl(context, recommendation, alpha) + kl(recommendation, context, alpha))
+    return kl(context, recommendation, alpha)
 
 
 def _sample(
@@ -269,20 +270,27 @@ class FragmentationSamples:
 def sample_fragmentation(
     recommendations: Mapping[str, Sequence[Article]],
     config: MetricConfig,
+    built: dict[RankWeighting, dict[str, DiscreteDistribution | str]] | None = None,
 ) -> FragmentationSamples:
     """Fragmentation over seeded partner pairs of recommendation lists.
 
     ``recommendations`` maps a list id (impression id) to its ranked
     articles.  Fewer than two lists yields no samples, only a skip entry.
     Sample ids are "u|v" for the ordered draw (u, v).
+
+    Each list's chain distribution (or the reason it could not be built) is
+    built once, however often it is drawn.  Given ``built``, it is kept there
+    under ``config.weighting`` and reused by later calls over the same lists,
+    such as grid points that differ only in the divergence.
     """
     result = FragmentationSamples()
     if len(recommendations) < 2:
         result.skips.append(("", "fewer than 2 recommendation lists"))
         return result
-    # Each list's chain distribution is built once, however often it is drawn.
-    chains: dict[str, DiscreteDistribution | str] = {}
+    chains = {} if built is None else built.setdefault(config.weighting, {})
     for list_id, articles in recommendations.items():
+        if list_id in chains:
+            continue
         try:
             chains[list_id] = build_distribution(articles, chain_keys, config.weighting)
         except EmptyDistributionError as exc:

@@ -375,6 +375,24 @@ class TestConfigFile:
         assert f"{config_path}:2: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pairs = x", "invalid value for pairs: 'x'"),
+            ("cutoffs = 5,-1", "cutoffs must be a non-empty list of values >= 0"),
+            ("divergence = 'hellinger'", "divergence must be one of kl, js, got 'hellinger'"),
+        ],
+    )
+    def test_bad_value_names_its_line(self, fixture_paths, tmp_path, capsys, line, message):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"seed = 1\n\n{line}\n", encoding="utf-8")
+        code = main(
+            ["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--config", str(config_path)]
+        )
+        assert code == 1
+        assert f"error: {config_path}:3: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_external_keys_accepted(self, fixture_paths, tmp_path):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(

@@ -160,6 +160,18 @@ class TestLoadRecommendations:
         with pytest.raises(ValidationError, match="I9"):
             load_recommendations(path, impressions)
 
+    def test_user_other_than_the_impressions_rejected_with_line(self, tmp_path, fixture_paths):
+        impressions = load_behaviors(fixture_paths["behaviors"])
+        path = tmp_path / "recs.jsonl"
+        lines = [
+            {"impression_id": "I2", "user_id": "U2", "ranked_item_ids": ["N5"]},
+            {"impression_id": "I1", "user_id": "U2", "ranked_item_ids": ["N1"]},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        message = f"{path}:2: user id 'U2' does not match impression 'I1', which belongs to 'U1'"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_recommendations(path, impressions)
+
     def test_unvalidated_load_skips_pool_checks(self, fixture_paths):
         recs = load_recommendations(fixture_paths["recommendations"])
         assert len(recs) == 3

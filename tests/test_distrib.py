@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 from newsdiv.distrib import (
     Binning,
     DiscreteDistribution,
+    SCHEMES,
     RankWeighting,
     SmoothingConfig,
     build_distribution,
     history_distribution,
     rank_weight,
+    rank_weights,
     smooth_pair,
 )
 from newsdiv.errors import EmptyDistributionError
@@ -50,6 +52,11 @@ class TestRankWeight:
 
     def test_none_constant(self):
         assert {rank_weight("none", rank) for rank in range(1, 101)} == {1.0}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("length", [0, 1, 7, 150])
+    def test_cached_weights_are_rank_weight(self, scheme, length):
+        assert list(rank_weights(scheme, length)) == [rank_weight(scheme, r) for r in range(1, length + 1)]
 
 
 class TestBuildDistribution:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import distance as sp_distance
 
 from newsdiv.distrib import DiscreteDistribution, smooth_pair
@@ -11,6 +12,14 @@ from newsdiv.errors import UnsmoothedZeroError
 
 def dist(*masses):
     return DiscreteDistribution({f"k{i}": mass for i, mass in enumerate(masses)})
+
+
+# Distributions over overlapping subsets of a few keys, zero masses included.
+DISTRIBUTIONS = (
+    st.dictionaries(st.sampled_from("abcdef"), st.just(0.0) | st.floats(1e-6, 10.0), min_size=1)
+    .filter(lambda weights: sum(weights.values()) > 0.0)
+    .map(DiscreteDistribution.from_weights)
+)
 
 
 def random_pair(rng, size):
@@ -130,3 +139,27 @@ class TestSmoothedFlow:
         q = dist(0.0, 1.0)
         p_bar, q_bar = smooth_pair(p, q, 0.001)
         assert 0.0 < js(p_bar, q_bar) < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=DISTRIBUTIONS, q=DISTRIBUTIONS, alpha=st.sampled_from([0.0, 0.001, 0.2, 0.49]))
+    def test_alpha_smooths_exactly_like_smooth_pair(self, p, q, alpha):
+        assert js(p, q, alpha) == js(*smooth_pair(p, q, alpha))
+        for left, right in ((p, q), (q, p)):
+            try:
+                expected = kl(*smooth_pair(left, right, alpha))
+            except UnsmoothedZeroError as exc:
+                with pytest.raises(UnsmoothedZeroError) as raised:
+                    kl(left, right, alpha)
+                assert str(raised.value) == str(exc)
+            else:
+                assert kl(left, right, alpha) == expected
+
+    def test_unsmoothed_zero_names_the_first_key_in_sorted_order(self):
+        p = DiscreteDistribution({"c": 0.5, "b": 0.5})
+        q = DiscreteDistribution({"a": 1.0})
+        with pytest.raises(UnsmoothedZeroError, match="unsmoothed zero at key 'b'"):
+            kl(p, q, 0.0)
+
+    def test_alpha_range_enforced(self):
+        with pytest.raises(ValueError, match="alpha"):
+            js(dist(1.0), dist(1.0), 0.5)

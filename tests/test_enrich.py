@@ -87,6 +87,14 @@ class TestActivation:
         with pytest.raises(ParseError, match="outside"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("repeat", ["great", "Great"])
+    def test_lexicon_token_listed_twice_names_both_lines(self, tmp_path, repeat):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(f"great\t0.8\n# same token again\n{repeat}\t-0.8\n", encoding="utf-8")
+        message = f"{path}:3: duplicate token 'great' (first on line 1)"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_lexicon(path)
+
     @given(st.text(max_size=200))
     def test_range_on_arbitrary_text(self, text):
         lexicon = {"good": 1.0, "bad": -1.0, "odd": 0.3}

@@ -17,6 +17,7 @@ from newsdiv.evaluate import (
     daily_pools,
     evaluate_recommendations,
 )
+from newsdiv import metrics
 from newsdiv.metrics import (
     MetricConfig,
     activation_divergence,
@@ -155,6 +156,27 @@ class TestEvaluateRecommendations:
                 key = (row.divergence, row.cutoff)
                 pair_ids.setdefault(key, set()).add(row.pair_id)
         assert len(set(map(frozenset, pair_ids.values()))) == 1
+
+    def test_chain_distributions_built_once_per_weighting(self, world, monkeypatch):
+        corpus, impressions = world
+        recommendations = {
+            source: [recommend_random(impression, seed=seed) for impression in impressions[:10]]
+            for source, seed in (("a", 1), ("b", 2))
+        }
+        builds = []
+        build = metrics.build_distribution
+
+        def counting(items, key_fn, weighting):
+            if key_fn is metrics.chain_keys:
+                builds.append(weighting)
+            return build(items, key_fn, weighting)
+
+        monkeypatch.setattr(metrics, "build_distribution", counting)
+        grid = build_grid(["kl", "js"], ["mrr"], [5, 0])
+        evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=1), grid)
+        # 2 sources x 10 lists x 2 cutoffs, shared by both divergences
+        assert len(builds) == 40
+        assert len(set(builds)) == 2
 
     def test_daily_pool_changes_supply_metrics_only(self, world):
         corpus, impressions = world
