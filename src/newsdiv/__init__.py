@@ -19,7 +19,6 @@ from .distrib import (
     Binning,
     DiscreteDistribution,
     RankWeighting,
-    SmoothingConfig,
     build_distribution,
     history_distribution,
     rank_weight,

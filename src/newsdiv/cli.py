@@ -23,7 +23,12 @@ from .report import aggregate_rows, write_report, write_samples_csv, write_skips
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as input errors, so that they exit 1."""
+    """Takes each flag under its full name only, so that ``--divergence``
+    cannot stand for ``--divergences``, and reports usage errors as input
+    errors, so that they exit 1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise InputError(f"{self.prog}: {message}")
@@ -43,8 +48,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_metric_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--divergence", choices=KINDS, help="divergence (default js)")
-    parser.add_argument("--weighting", choices=SCHEMES, help="rank discount (default mrr)")
     parser.add_argument("--cutoffs", help="comma list of rank cutoffs; 0 means @N (default 0)")
     parser.add_argument("--alpha", help="smoothing fraction (default 0.001)")
     parser.add_argument("--bins", help="bin count for activation and complexity (default 10)")
@@ -82,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser("evaluate", help="score recommenders on all metrics")
     _add_common_options(evaluate)
     _add_metric_options(evaluate)
+    evaluate.add_argument("--divergence", choices=KINDS, help="divergence (default js)")
+    evaluate.add_argument("--weighting", choices=SCHEMES, help="rank discount (default mrr)")
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     sensitivity = subparsers.add_parser(
@@ -180,6 +185,8 @@ def _gather_recommendations(config: RunConfig, impressions):
 
 def _run_evaluation(config: RunConfig, grid) -> int:
     _require(config, "news", "behaviors")
+    if not config.recommenders and not config.externals:
+        raise InputError("no recommenders to score: --recommenders is empty and no --external given")
     impressions = corpus_io.load_behaviors(config.behaviors)
     corpus = _load_corpus(config, impressions)
     missing = corpus_io.missing_article_ids(impressions, corpus)

@@ -49,8 +49,8 @@ _LINE = re.compile(r"""([^=#]*?)\s*=\s*("[^"]*"|'[^']*'|[^#]*?)\s*(?:#.*)?""")
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """The ``key = value`` pairs of a config file, as text.  An unknown key,
-    or an option value that fails the checks ``RunConfig.from_options`` makes
-    of it alone, is an InputError that names its line."""
+    or a value that fails the checks ``RunConfig.from_options`` makes of it
+    alone, is an InputError that names its line."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
@@ -64,11 +64,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
-        if key in OPTION_KEYS:
-            try:
-                RunConfig.from_options({key: value})
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+        try:
+            RunConfig.from_options({key: value})
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         values[key] = value
     return values
 

@@ -1,4 +1,5 @@
-"""Parsing and validation of catalogs, impression logs and recommendation files.
+"""Parsing, validation and writing of catalogs, impression logs and
+recommendation files.
 
 File formats (all UTF-8, LF line endings):
 
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -420,52 +421,58 @@ def missing_article_ids(impressions: Iterable[ImpressionLog], corpus: Corpus) ->
     return sorted(missing)
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to a UTF-8 file, each followed by an LF.  Every text
+    file the package writes goes through here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for line in lines:
+            handle.write(line + "\n")
+
+
+def write_records(path: str | Path, records: Iterable[Mapping[str, object]]) -> None:
+    """Write one JSON object per line, keys sorted and non-ASCII text kept;
+    the inverse of :func:`read_records`."""
+    write_lines(path, (json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records))
+
+
 def dump_catalog(corpus: Corpus, news_path: str | Path, bodies_path: str | Path) -> None:
     """Write the canonical catalog pair; re-parsing restores the raw fields."""
-    with open(news_path, "w", encoding="utf-8", newline="\n") as handle:
-        for article in corpus:
-            handle.write(
-                "\t".join([article.id, article.category, article.subcategory, article.title, "", ""])
-                + "\n"
-            )
-    with open(bodies_path, "w", encoding="utf-8", newline="\n") as handle:
-        for article in corpus:
-            record = {
-                "id": article.id,
-                "body": article.body,
-                "published_at": article.published_at,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    write_lines(
+        news_path,
+        ("\t".join([article.id, article.category, article.subcategory, article.title, "", ""])
+         for article in corpus),
+    )
+    write_records(
+        bodies_path,
+        ({"id": article.id, "body": article.body, "published_at": article.published_at}
+         for article in corpus),
+    )
 
 
 def dump_behaviors(impressions: Iterable[ImpressionLog], path: str | Path) -> None:
     """Write behaviors in the canonical TSV; history goes back out oldest
     first so a round trip restores the stored orientation."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for impression in impressions:
-            candidates = " ".join(
-                f"{article_id}-{1 if clicked else 0}" for article_id, clicked in impression.candidates
-            )
-            handle.write(
-                "\t".join(
-                    [
-                        impression.impression_id,
-                        impression.user_id,
-                        format_time(impression.time),
-                        " ".join(reversed(impression.history)),
-                        candidates,
-                    ]
-                )
-                + "\n"
-            )
+    write_lines(path, map(_behaviors_line, impressions))
+
+
+def _behaviors_line(impression: ImpressionLog) -> str:
+    history = " ".join(reversed(impression.history))
+    candidates = " ".join(
+        f"{article_id}-{1 if clicked else 0}" for article_id, clicked in impression.candidates
+    )
+    time = format_time(impression.time)
+    return "\t".join([impression.impression_id, impression.user_id, time, history, candidates])
 
 
 def dump_recommendations(recommendations: Iterable[RecommendationList], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for recommendation in recommendations:
-            record = {
+    write_records(
+        path,
+        (
+            {
                 "impression_id": recommendation.impression_id,
                 "user_id": recommendation.user_id,
                 "ranked_item_ids": list(recommendation.ranked_items),
             }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            for recommendation in recommendations
+        ),
+    )

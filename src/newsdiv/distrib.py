@@ -87,16 +87,6 @@ class Binning:
         return f"bin_{index}"
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Mixing fraction for smooth_pair; small and strictly below one half."""
-
-    alpha: float = 0.001
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"alpha must be in [0, 0.5), got {alpha}")
@@ -206,7 +196,7 @@ def _smoothed_masses(
 def smooth_pair(
     p: DiscreteDistribution,
     q: DiscreteDistribution,
-    alpha: float | SmoothingConfig,
+    alpha: float,
 ) -> tuple[DiscreteDistribution, DiscreteDistribution]:
     """Mix each distribution with its counterpart on the union domain.
 
@@ -215,10 +205,7 @@ def smooth_pair(
     wherever p is (no zero division) and p_bar is positive wherever q is
     (the divergence cannot be forced to zero by a key missing from p).
     """
-    if isinstance(alpha, SmoothingConfig):
-        alpha = alpha.alpha
-    else:
-        _check_alpha(alpha)
+    _check_alpha(alpha)
     domain, p_bar, q_bar = _smoothed_masses(p.masses, q.masses, alpha)
     return (
         DiscreteDistribution(dict(zip(domain, p_bar))),

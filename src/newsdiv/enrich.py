@@ -8,14 +8,14 @@ a stronger external pipeline.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Article, Corpus, ImpressionLog, check_unique, read_lines, read_records
+from .corpus import (Article, Corpus, ImpressionLog, check_unique, read_lines, read_records,
+                     write_records)
 from .errors import ParseError, ValidationError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -398,22 +398,10 @@ def load_sidecar(path: str | Path, corpus: Corpus) -> Corpus:
 
 
 def dump_enriched(corpus: Corpus, path: str | Path) -> None:
-    """Write the enriched catalog as JSON lines, one article per input-order
-    row; byte-stable for identical inputs.  The output doubles as a sidecar."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for article in corpus:
-            record = {
-                "id": article.id,
-                "title": article.title,
-                "body": article.body,
-                "category": article.category,
-                "subcategory": article.subcategory,
-                "published_at": article.published_at,
-                "complexity": article.complexity,
-                "activation": article.activation,
-                "chain_id": article.chain_id,
-                "political_actors": sorted(article.political_actors),
-                "minority_mentions": article.minority_mentions,
-                "majority_mentions": article.majority_mentions,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    """Write the enriched catalog as JSON lines: every ``Article`` field, one
+    article per input-order row; byte-stable for identical inputs.  The
+    output doubles as a sidecar."""
+    write_records(
+        path,
+        ({**vars(article), "political_actors": sorted(article.political_actors)} for article in corpus),
+    )

@@ -2,9 +2,9 @@
 grid, with skips recorded instead of silently biasing the means."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import Article, Corpus, ImpressionLog, RecommendationList
@@ -47,11 +47,20 @@ class KeyedRow:
     pair_id: str
 
     def config_key(self) -> tuple:
-        """The report row this sample or skip belongs to."""
-        return (self.metric, self.recommender, self.divergence, self.weighting, self.cutoff)
+        """The report row this sample or skip belongs to: its
+        ``CONFIG_COLUMNS`` values."""
+        return _config_key(self)
 
     def row_key(self) -> tuple:
-        return (*self.config_key(), self.pair_id)
+        return _row_key(self)
+
+
+# The names of the key fields, which are also the key columns of every
+# output file; all of them but the pair id name a report row.
+KEY_COLUMNS = tuple(key_field.name for key_field in fields(KeyedRow))
+CONFIG_COLUMNS = KEY_COLUMNS[:-1]
+_config_key = attrgetter(*CONFIG_COLUMNS)
+_row_key = attrgetter(*KEY_COLUMNS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,11 +223,10 @@ def evaluate_recommendations(
 ) -> EvaluationResult:
     """Compute every metric sample for every recommender and grid point.
 
-    Rows come back sorted on (metric, recommender, divergence, weighting,
-    cutoff, pair id).  Fragmentation partners are drawn once per recommender from the seed and
-    reused across the grid, keeping grid points comparable.  An impression
-    id that occurs twice in ``impressions`` or in one source's lists is a
-    ValidationError.
+    Rows come back sorted on their ``KEY_COLUMNS``.  Fragmentation partners
+    are drawn once per recommender from the seed and reused across the grid,
+    keeping grid points comparable.  An impression id that occurs twice in
+    ``impressions`` or in one source's lists is a ValidationError.
     """
     if pool not in POOLS:
         raise ValueError(f"unknown pool {pool!r}")

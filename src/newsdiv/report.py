@@ -1,9 +1,9 @@
 """Aggregation and serialization of evaluation output.
 
-Three files per run:
+Three files per run, keyed by ``evaluate.KEY_COLUMNS``:
 
-* ``report.json``: one aggregate row per (metric, recommender, divergence,
-  weighting, cutoff), numbers rounded to 4 decimals.
+* ``report.json``: one aggregate row per ``CONFIG_COLUMNS`` value, numbers
+  rounded to 4 decimals.
 * ``samples.csv``: every individual divergence sample at full precision,
   RFC-4180 quoting, for external plotting or re-aggregation.
 * ``skips.json``: per-configuration skip counts by reason.
@@ -14,32 +14,22 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
-from .evaluate import SampleRow, SkipRow
+from .corpus import write_lines
+from .evaluate import CONFIG_COLUMNS, KEY_COLUMNS, KeyedRow, SampleRow, SkipRow
 from .metrics import aggregate
 
-SAMPLE_COLUMNS = ("metric", "recommender", "divergence", "weighting", "cutoff", "pair_id", "sample")
+SAMPLE_COLUMNS = (*KEY_COLUMNS, "sample")
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    metric: str
-    recommender: str
-    divergence: str
-    weighting: str
-    cutoff: int
-    n: int
-    mean: float
-    std: float
-    ci95: float
-    skips: int
-
-
-def aggregate_rows(samples: Sequence[SampleRow], skips: Sequence[SkipRow]) -> list[AggregateRow]:
-    """One aggregate per configuration that produced at least one sample.
+def aggregate_rows(samples: Sequence[SampleRow], skips: Sequence[SkipRow]) -> list[dict]:
+    """The report rows: one per configuration that produced at least one
+    sample, with its key columns, its rounded ``metrics.Aggregate`` and its
+    skip count.
 
     Configurations where everything was skipped get no row; their counts
     remain visible in the skip report.
@@ -47,118 +37,53 @@ def aggregate_rows(samples: Sequence[SampleRow], skips: Sequence[SkipRow]) -> li
     grouped: dict[tuple, list[float]] = {}
     for sample in samples:
         grouped.setdefault(sample.config_key(), []).append(sample.value)
-    skip_counts: dict[tuple, int] = {}
-    for skip in skips:
-        key = skip.config_key()
-        skip_counts[key] = skip_counts.get(key, 0) + 1
-    rows = []
-    for key in sorted(grouped):
-        stats = aggregate(grouped[key])
-        metric, recommender, divergence, weighting, cutoff = key
-        rows.append(
-            AggregateRow(
-                metric=metric,
-                recommender=recommender,
-                divergence=divergence,
-                weighting=weighting,
-                cutoff=cutoff,
-                n=stats.n,
-                mean=stats.mean,
-                std=stats.std,
-                ci95=stats.ci95,
-                skips=skip_counts.get(key, 0),
-            )
-        )
-    return rows
+    skip_counts = Counter(skip.config_key() for skip in skips)
+    return [
+        {
+            **dict(zip(CONFIG_COLUMNS, key)),
+            **{
+                name: round(value, 4) if type(value) is float else value
+                for name, value in asdict(aggregate(grouped[key])).items()
+            },
+            "skips": skip_counts[key],
+        }
+        for key in sorted(grouped)
+    ]
 
 
 def write_report(
-    rows: Sequence[AggregateRow],
+    rows: Sequence[Mapping[str, object]],
     path: str | Path,
     config_echo: Mapping[str, object] | None = None,
 ) -> None:
-    payload = {
-        "config": dict(config_echo) if config_echo else {},
-        "rows": [
-            {
-                "metric": row.metric,
-                "recommender": row.recommender,
-                "divergence": row.divergence,
-                "weighting": row.weighting,
-                "cutoff": row.cutoff,
-                "n": row.n,
-                "mean": round(row.mean, 4),
-                "std": round(row.std, 4),
-                "ci95": round(row.ci95, 4),
-                "skips": row.skips,
-            }
-            for row in rows
-        ],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_json(path, {"config": dict(config_echo) if config_echo else {}, "rows": list(rows)})
 
 
 def write_samples_csv(samples: Sequence[SampleRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(SAMPLE_COLUMNS)
-        for row in samples:
-            writer.writerow(
-                [
-                    row.metric,
-                    row.recommender,
-                    row.divergence,
-                    row.weighting,
-                    row.cutoff,
-                    row.pair_id,
-                    repr(row.value),
-                ]
-            )
+        writer.writerows((*row.row_key(), repr(row.value)) for row in samples)
 
 
 def read_samples_csv(path: str | Path) -> list[SampleRow]:
     """Inverse of :func:`write_samples_csv`; lets callers re-aggregate."""
-    rows = []
+    key_types = get_type_hints(KeyedRow)
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for record in reader:
-            rows.append(
-                SampleRow(
-                    metric=record["metric"],
-                    recommender=record["recommender"],
-                    divergence=record["divergence"],
-                    weighting=record["weighting"],
-                    cutoff=int(record["cutoff"]),
-                    pair_id=record["pair_id"],
-                    value=float(record["sample"]),
-                )
-            )
-    return rows
+        return [
+            SampleRow(*(key_types[name](record[name]) for name in KEY_COLUMNS), float(record["sample"]))
+            for record in csv.DictReader(handle)
+        ]
 
 
 def write_skips(skips: Sequence[SkipRow], path: str | Path) -> None:
-    grouped: dict[tuple, int] = {}
-    for skip in skips:
-        key = (*skip.config_key(), skip.reason)
-        grouped[key] = grouped.get(key, 0) + 1
-    payload = {
-        "rows": [
-            {
-                "metric": metric,
-                "recommender": recommender,
-                "divergence": divergence,
-                "weighting": weighting,
-                "cutoff": cutoff,
-                "reason": reason,
-                "count": count,
-            }
-            for (metric, recommender, divergence, weighting, cutoff, reason), count in sorted(
-                grouped.items()
-            )
-        ]
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")
+    counts = Counter((*skip.config_key(), skip.reason) for skip in skips)
+    rows = [
+        {**dict(zip(CONFIG_COLUMNS, key)), "reason": reason, "count": count}
+        for (*key, reason), count in sorted(counts.items())
+    ]
+    _write_json(path, {"rows": rows})
+
+
+def _write_json(path: str | Path, payload: Mapping[str, object]) -> None:
+    write_lines(path, [json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)])

@@ -104,6 +104,28 @@ class TestEvaluate:
             assert (rerun / name).read_bytes() == (evaluation / name).read_bytes()
 
 
+class TestOutputSchema:
+    KEYS = ["metric", "recommender", "divergence", "weighting", "cutoff"]
+
+    def test_report_rows(self, evaluation):
+        report = json.loads((evaluation / "report.json").read_text(encoding="utf-8"))
+        assert set(report) == {"config", "rows"}
+        assert report["rows"]
+        for row in report["rows"]:
+            assert set(row) == {*self.KEYS, "n", "mean", "std", "ci95", "skips"}
+
+    def test_skip_rows(self, evaluation):
+        skips = json.loads((evaluation / "skips.json").read_text(encoding="utf-8"))
+        assert set(skips) == {"rows"}
+        assert skips["rows"]
+        for row in skips["rows"]:
+            assert set(row) == {*self.KEYS, "reason", "count"}
+
+    def test_samples_header(self, evaluation):
+        header = (evaluation / "samples.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+        assert header == ",".join([*self.KEYS, "pair_id", "sample"])
+
+
 class TestEvaluateVariants:
     def test_external_recommendations(self, fixture_paths, tmp_path):
         out_dir = tmp_path / "out"
@@ -119,6 +141,20 @@ class TestEvaluateVariants:
         report = json.loads((out_dir / "report.json").read_text())
         recommenders = {row["recommender"] for row in report["rows"]}
         assert recommenders == {"random", "external:fixture"}
+
+    def test_external_alone_with_no_baselines(self, fixture_paths, tmp_path):
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "evaluate",
+                *base_args(fixture_paths, out_dir, "--cutoffs", "0"),
+                "--recommenders", ",",
+                "--external", f"fixture={fixture_paths['recommendations']}",
+            ]
+        )
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert {row["recommender"] for row in report["rows"]} == {"external:fixture"}
 
     def test_kl_divergence_runs(self, fixture_paths, tmp_path):
         out_dir = tmp_path / "out"
@@ -210,6 +246,38 @@ class TestSensitivity:
         assert {row["divergence"] for row in report["rows"]} == {"kl", "js"}
         assert {row["weighting"] for row in report["rows"]} == {"none", "mrr"}
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("sensitivity", ["--divergence", "kl"]),
+            ("sensitivity", ["--weighting", "ndcg"]),
+            ("evaluate", ["--divergences", "kl,js"]),
+            ("evaluate", ["--weightings", "none"]),
+        ],
+    )
+    def test_grid_flag_of_the_other_subcommand_is_a_usage_error(
+        self, fixture_paths, tmp_path, capsys, command, flags
+    ):
+        out_dir = tmp_path / "out"
+        assert main([command, *base_args(fixture_paths, out_dir, "--cutoffs", "0"), *flags]) == 1
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_file_grid_keys_are_shared(self, fixture_paths, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            "divergence = kl\nweighting = ndcg\ndivergences = js\nweightings = none\n",
+            encoding="utf-8",
+        )
+        grids = {}
+        for command in ("evaluate", "sensitivity"):
+            out_dir = tmp_path / command
+            args = base_args(fixture_paths, out_dir, "--cutoffs", "0", "--config", str(config_path))
+            assert main([command, *args]) == 0
+            report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+            grids[command] = {(row["divergence"], row["weighting"]) for row in report["rows"]}
+        assert grids == {"evaluate": {("kl", "ndcg")}, "sensitivity": {("js", "none")}}
+
 
 class TestRecommendCommand:
     def test_random_round_trips(self, fixture_paths, tmp_path):
@@ -263,6 +331,15 @@ class TestRecommendCommand:
 
 
 class TestEnrichCommand:
+    def test_records_hold_every_article_field(self, fixture_paths, tmp_path):
+        out = tmp_path / "enriched.jsonl"
+        assert main(["enrich", "--news", str(fixture_paths["news"]), "-o", str(out)]) == 0
+        names = {article_field.name for article_field in dataclasses.fields(newsdiv.Article)}
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines
+        for line in lines:
+            assert set(json.loads(line)) == names
+
     def test_idempotent_bytes(self, fixture_paths, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
@@ -430,7 +507,8 @@ class TestConfigFile:
             ["evaluate", *base_args(fixture_paths, tmp_path / "out"), "--config", str(config_path)]
         )
         assert code == 1
-        assert "error: config key 'external.m' has an empty path" in capsys.readouterr().err
+        message = f"error: {config_path}:1: config key 'external.m' has an empty path"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_defaults_match_run_config_fields(self):
@@ -506,6 +584,20 @@ class TestErrorPaths:
         assert code == 1
         assert "error: --external m= has an empty path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_recommender_set_is_input_error(self, fixture_paths, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        args = base_args(fixture_paths, out_dir, "--cutoffs", "0", "--recommenders", ",")
+        code = main(["evaluate", *args])
+        assert code == 1
+        assert "error: no recommenders to score" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_empty_recommenders_key_does_not_stop_enrich(self, fixture_paths, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"news = {fixture_paths['news']}\nrecommenders =\n", encoding="utf-8")
+        out = tmp_path / "enriched.jsonl"
+        assert main(["enrich", "--config", str(config_path), "-o", str(out)]) == 0
 
     def test_duplicate_external_impression_is_input_error(self, fixture_paths, tmp_path, capsys):
         recs = tmp_path / "recs.jsonl"

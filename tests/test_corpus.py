@@ -15,6 +15,8 @@ from newsdiv.corpus import (
     load_recommendations,
     missing_article_ids,
     parse_time,
+    read_records,
+    write_records,
 )
 from newsdiv.errors import ParseError, ValidationError
 
@@ -244,6 +246,20 @@ class TestRoundTrip:
         out = tmp_path / "recs.jsonl"
         dump_recommendations(recs, out)
         assert load_recommendations(out, impressions, source=recs[0].source) == recs
+
+    def test_records_keep_non_ascii_text(self, tmp_path):
+        records = [
+            {"title": "Çà et là — 東京", "id": "N1", "tags": ["über", "naïve"]},
+            {"id": "N2", "published_at": None, "count": 3},
+        ]
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        assert [record.fields for record in read_records(path)] == records
+        text = path.read_text(encoding="utf-8")
+        assert "東京" in text and "\\u" not in text
+        assert text.endswith("}\n")
+        for record in read_records(path):
+            assert list(record.fields) == sorted(record.fields)
 
 
 class TestInvariants:

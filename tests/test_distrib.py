@@ -8,7 +8,6 @@ from newsdiv.distrib import (
     DiscreteDistribution,
     SCHEMES,
     RankWeighting,
-    SmoothingConfig,
     build_distribution,
     history_distribution,
     rank_weight,
@@ -209,9 +208,9 @@ class TestSmoothing:
         assert q_bar.masses == q_bar_swapped.masses
 
     def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError):
-            SmoothingConfig(0.5)
         p = DiscreteDistribution({"a": 1.0})
+        with pytest.raises(ValueError):
+            smooth_pair(p, p, 0.5)
         with pytest.raises(ValueError):
             smooth_pair(p, p, -0.1)
 
