@@ -206,14 +206,14 @@ def _run_evaluation(config: RunConfig, grid) -> int:
     )
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = aggregate_rows(result.samples, result.skips)
+    rows = aggregate_rows(result.sample_columns, result.skip_columns)
     write_report(rows, out_dir / "report.json", config.echo())
-    write_samples_csv(result.samples, out_dir / "samples.csv")
-    write_skips(result.skips, out_dir / "skips.json")
+    write_samples_csv(result.sample_columns, out_dir / "samples.csv")
+    write_skips(result.skip_columns, out_dir / "skips.json")
     print(
         f"wrote {out_dir / 'report.json'} ({len(rows)} rows), "
-        f"{out_dir / 'samples.csv'} ({len(result.samples)} samples), "
-        f"{out_dir / 'skips.json'} ({len(result.skips)} skips)"
+        f"{out_dir / 'samples.csv'} ({result.sample_count} samples), "
+        f"{out_dir / 'skips.json'} ({result.skip_count} skips)"
     )
     return 0
 

@@ -36,14 +36,28 @@ def _aligned(
     return _smoothed_masses(p.masses, q.masses, alpha)
 
 
-def kl(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None = None) -> float:
+def kl(
+    p: DiscreteDistribution,
+    q: DiscreteDistribution,
+    alpha: float | None = None,
+    symmetrize: bool = False,
+) -> float:
     """sum_x p(x) log2(p(x) / q(x)), in bits.  Asymmetric, >= 0.
 
     Terms with p(x) == 0 vanish (0 log 0 := 0 by continuity).  p(x) > 0 with
     q(x) == 0 would be infinite and raises UnsmoothedZeroError instead.
-    With ``alpha``, equals ``kl(*smooth_pair(p, q, alpha))``.
+    With ``alpha``, equals ``kl(*smooth_pair(p, q, alpha))``.  With
+    ``symmetrize``, returns ``0.5 * (kl(p, q, alpha) + kl(q, p, alpha))``
+    from one alignment of the pair, checking the direction p -> q first.
     """
     domain, p_masses, q_masses = _aligned(p, q, alpha)
+    forward = _kl_sum(domain, p_masses, q_masses)
+    if not symmetrize:
+        return forward
+    return 0.5 * (forward + _kl_sum(domain, q_masses, p_masses))
+
+
+def _kl_sum(domain: list[str], p_masses: list[float], q_masses: list[float]) -> float:
     terms = []
     for key, p_mass, q_mass in zip(domain, p_masses, q_masses):
         if p_mass == 0.0:

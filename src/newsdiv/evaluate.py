@@ -2,10 +2,11 @@
 grid, with skips recorded instead of silently biasing the means."""
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, MutableSequence, NamedTuple, Sequence
 
 from .corpus import Article, Corpus, ImpressionLog, RecommendationList
 from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribution
@@ -73,10 +74,83 @@ class SkipRow(KeyedRow):
     reason: str
 
 
+class Columns(NamedTuple):
+    """The rows of one configuration (one ``CONFIG_COLUMNS`` value): their
+    pair ids and, aligned with them, the sample values (an ``array('d')``)
+    or the skip reasons (a list)."""
+
+    pair_ids: list[str]
+    values: MutableSequence[float] | list[str]
+
+    def add(self, pair_id: str, value: float | str) -> None:
+        self.pair_ids.append(pair_id)
+        self.values.append(value)
+
+    def sort(self) -> None:
+        """Order the rows by pair id, keeping the order of equal ids."""
+        pair_ids, values = self.pair_ids, self.values
+        order = sorted(range(len(pair_ids)), key=pair_ids.__getitem__)
+        pair_ids[:] = [pair_ids[index] for index in order]
+        unsorted = values[:]
+        del values[:]
+        values.extend(unsorted[index] for index in order)
+
+
+# Column sets by their CONFIG_COLUMNS value.
+ColumnSets = dict[tuple, Columns]
+
+
 @dataclass
 class EvaluationResult:
-    samples: list[SampleRow]
-    skips: list[SkipRow]
+    """Every sample and skip of a run, as one column set per configuration.
+    Both mappings hold their keys in sorted order and each column set its
+    rows in pair id order, so that together they are in ``KEY_COLUMNS``
+    order; configurations without a sample (or a skip) have no entry."""
+
+    sample_columns: ColumnSets
+    skip_columns: ColumnSets
+
+    @property
+    def samples(self) -> list[SampleRow]:
+        """The samples as rows in ``KEY_COLUMNS`` order, built on each access."""
+        return _rows(SampleRow, self.sample_columns)
+
+    @property
+    def skips(self) -> list[SkipRow]:
+        """The skips as rows in ``KEY_COLUMNS`` order, built on each access."""
+        return _rows(SkipRow, self.skip_columns)
+
+    @property
+    def sample_count(self) -> int:
+        return sum(len(columns.pair_ids) for columns in self.sample_columns.values())
+
+    @property
+    def skip_count(self) -> int:
+        return sum(len(columns.pair_ids) for columns in self.skip_columns.values())
+
+
+def _rows(row_type: type, column_sets: ColumnSets) -> list:
+    return [
+        row_type(*key, pair_id, value)
+        for key, columns in column_sets.items()
+        for pair_id, value in zip(*columns)
+    ]
+
+
+def _sample_columns() -> Columns:
+    # Imported on first use: the array extension would add about 0.14 MB of
+    # RSS to the commands that import this module but score nothing.
+    from array import array
+
+    return Columns([], array("d"))
+
+
+def _skip_columns() -> Columns:
+    return Columns([], [])
+
+
+def _in_key_order(column_sets: Mapping[tuple, Columns]) -> ColumnSets:
+    return {key: column_sets[key] for key in sorted(column_sets)}
 
 
 def build_grid(
@@ -152,8 +226,8 @@ class _Scorer:
         ]
         self.day_pools = day_pools
         self.day_contexts: dict[str, dict[tuple[int, RankWeighting], _Built]] = {}
-        self.samples: list[SampleRow] = []
-        self.skips: list[SkipRow] = []
+        self.samples: defaultdict[tuple, Columns] = defaultdict(_sample_columns)
+        self.skips: defaultdict[tuple, Columns] = defaultdict(_skip_columns)
 
     def _built(
         self,
@@ -179,6 +253,9 @@ class _Scorer:
     def score_impression(
         self, impression: ImpressionLog, entries: Sequence[tuple[str, RecommendationList]]
     ) -> None:
+        """Append the impression's samples and skips to their column sets;
+        called in impression id order, so that each column set stays in
+        pair id order."""
         if self.day_pools:
             day = _impression_day(impression)
             pool = self.day_pools[day]
@@ -208,9 +285,9 @@ class _Scorer:
                     key = (name, source, point.divergence, point.weighting, point.cutoff)
                     value = _sample(context, recommended, config)
                     if isinstance(value, str):
-                        self.skips.append(SkipRow(*key, impression.impression_id, value))
+                        self.skips[key].add(impression.impression_id, value)
                     else:
-                        self.samples.append(SampleRow(*key, impression.impression_id, value))
+                        self.samples[key].add(impression.impression_id, value)
 
 
 def evaluate_recommendations(
@@ -223,9 +300,10 @@ def evaluate_recommendations(
 ) -> EvaluationResult:
     """Compute every metric sample for every recommender and grid point.
 
-    Rows come back sorted on their ``KEY_COLUMNS``.  Fragmentation partners
-    are drawn once per recommender from the seed and reused across the grid,
-    keeping grid points comparable.  An impression id that occurs twice in
+    Rows come back as column sets in ``KEY_COLUMNS`` order (see
+    ``EvaluationResult``).  Fragmentation partners are drawn once per
+    recommender from the seed and reused across the grid, keeping grid
+    points comparable.  An impression id that occurs twice in
     ``impressions`` or in one source's lists is a ValidationError.
     """
     if pool not in POOLS:
@@ -261,25 +339,48 @@ def evaluate_recommendations(
             lists_by_impression.setdefault(impression_id, []).append((source, recommendation))
 
     scorer = _Scorer(corpus, metric_config, grid_configs, day_pools)
-    for impression_id, entries in lists_by_impression.items():
-        scorer.score_impression(by_impression[impression_id], entries)
+    for impression_id in sorted(lists_by_impression):
+        scorer.score_impression(by_impression[impression_id], lists_by_impression[impression_id])
     samples, skips = scorer.samples, scorer.skips
+    # Free the scorer's caches before the partner draws of fragmentation.
+    del scorer, lists_by_impression
 
     for source in sorted(recommendations_by_source):
-        ranked_articles = {
-            recommendation.impression_id: _resolve(corpus, recommendation.ranked_items)
-            for recommendation in recommendations_by_source[source]
-        }
-        chains: dict[RankWeighting, dict[str, _Built]] = {}
-        for point, config in grid_configs:
-            outcome = sample_fragmentation(ranked_articles, config, chains)
-            key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
-            samples.extend(SampleRow(*key, pair_id, value) for pair_id, value in outcome.samples)
-            skips.extend(SkipRow(*key, pair_id, reason) for pair_id, reason in outcome.skips)
+        _add_fragmentation(samples, skips, corpus, source, recommendations_by_source[source], grid_configs)
+    # Fragmentation pair ids ("u|v") come in draw order.  Each key is sorted
+    # once, after every grid point has added its rows (a grid may repeat a
+    # point).
+    for column_sets in (samples, skips):
+        for key, columns in column_sets.items():
+            if key[0] == "fragmentation":
+                columns.sort()
 
-    samples.sort(key=KeyedRow.row_key)
-    skips.sort(key=lambda row: (*row.row_key(), row.reason))
-    return EvaluationResult(samples=samples, skips=skips)
+    return EvaluationResult(_in_key_order(samples), _in_key_order(skips))
+
+
+def _add_fragmentation(
+    samples: defaultdict[tuple, Columns],
+    skips: defaultdict[tuple, Columns],
+    corpus: Corpus,
+    source: str,
+    recommendations: Sequence[RecommendationList],
+    grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
+) -> None:
+    """Append one source's fragmentation samples and skips at every grid
+    point to their column sets, in draw order."""
+    ranked_articles = {
+        recommendation.impression_id: _resolve(corpus, recommendation.ranked_items)
+        for recommendation in recommendations
+    }
+    chains: dict[RankWeighting, dict[str, _Built]] = {}
+    for point, config in grid_configs:
+        outcome = sample_fragmentation(ranked_articles, config, chains)
+        key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
+        for pair_id, value in outcome.samples:
+            samples[key].add(pair_id, value)
+        for pair_id, reason in outcome.skips:
+            skips[key].add(pair_id, reason)
+        del outcome  # before the next point's draw
 
 
 def _resolve(corpus: Corpus, ids: Iterable[str]) -> list[Article]:

@@ -143,9 +143,7 @@ def pair_divergence(
     alpha = config.alpha
     if config.divergence == "js":
         return js(context, recommendation, alpha)
-    if symmetrize_kl:
-        return 0.5 * (kl(context, recommendation, alpha) + kl(recommendation, context, alpha))
-    return kl(context, recommendation, alpha)
+    return kl(context, recommendation, alpha, symmetrize=symmetrize_kl)
 
 
 def _sample(

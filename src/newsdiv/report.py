@@ -1,6 +1,7 @@
 """Aggregation and serialization of evaluation output.
 
-Three files per run, keyed by ``evaluate.KEY_COLUMNS``:
+Three files per run, keyed by ``evaluate.KEY_COLUMNS`` and written from
+the column sets of an ``evaluate.EvaluationResult``:
 
 * ``report.json``: one aggregate row per ``CONFIG_COLUMNS`` value, numbers
   rounded to 4 decimals.
@@ -20,34 +21,31 @@ from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
 
 from .corpus import write_lines
-from .evaluate import CONFIG_COLUMNS, KEY_COLUMNS, KeyedRow, SampleRow, SkipRow
+from .evaluate import CONFIG_COLUMNS, KEY_COLUMNS, ColumnSets, KeyedRow, SampleRow
 from .metrics import aggregate
 
 SAMPLE_COLUMNS = (*KEY_COLUMNS, "sample")
 
 
-def aggregate_rows(samples: Sequence[SampleRow], skips: Sequence[SkipRow]) -> list[dict]:
+def aggregate_rows(samples: ColumnSets, skips: ColumnSets) -> list[dict]:
     """The report rows: one per configuration that produced at least one
     sample, with its key columns, its rounded ``metrics.Aggregate`` and its
-    skip count.
+    skip count.  ``samples`` and ``skips`` map configurations to their
+    column sets.
 
     Configurations where everything was skipped get no row; their counts
     remain visible in the skip report.
     """
-    grouped: dict[tuple, list[float]] = {}
-    for sample in samples:
-        grouped.setdefault(sample.config_key(), []).append(sample.value)
-    skip_counts = Counter(skip.config_key() for skip in skips)
     return [
         {
             **dict(zip(CONFIG_COLUMNS, key)),
             **{
                 name: round(value, 4) if type(value) is float else value
-                for name, value in asdict(aggregate(grouped[key])).items()
+                for name, value in asdict(aggregate(samples[key].values)).items()
             },
-            "skips": skip_counts[key],
+            "skips": len(skips[key].pair_ids) if key in skips else 0,
         }
-        for key in sorted(grouped)
+        for key in sorted(samples)
     ]
 
 
@@ -59,11 +57,14 @@ def write_report(
     _write_json(path, {"config": dict(config_echo) if config_echo else {}, "rows": list(rows)})
 
 
-def write_samples_csv(samples: Sequence[SampleRow], path: str | Path) -> None:
+def write_samples_csv(samples: ColumnSets, path: str | Path) -> None:
+    """One line per sample, in the order of ``samples`` (configurations to
+    their column sets) and of each column set."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(SAMPLE_COLUMNS)
-        writer.writerows((*row.row_key(), repr(row.value)) for row in samples)
+        for key, columns in samples.items():
+            writer.writerows((*key, pair_id, repr(value)) for pair_id, value in zip(*columns))
 
 
 def read_samples_csv(path: str | Path) -> list[SampleRow]:
@@ -76,11 +77,13 @@ def read_samples_csv(path: str | Path) -> list[SampleRow]:
         ]
 
 
-def write_skips(skips: Sequence[SkipRow], path: str | Path) -> None:
-    counts = Counter((*skip.config_key(), skip.reason) for skip in skips)
+def write_skips(skips: ColumnSets, path: str | Path) -> None:
+    """The skip count of each configuration and reason; ``skips`` maps
+    configurations to their column sets."""
     rows = [
         {**dict(zip(CONFIG_COLUMNS, key)), "reason": reason, "count": count}
-        for (*key, reason), count in sorted(counts.items())
+        for key in sorted(skips)
+        for reason, count in sorted(Counter(skips[key].values).items())
     ]
     _write_json(path, {"rows": rows})
 

@@ -221,6 +221,29 @@ class TestEvaluateVariants:
         )
         assert code == 2
 
+    def test_kl_smooths_each_scored_pair_once(self, fixture_paths, tmp_path, monkeypatch):
+        # symmetrized KL (fragmentation) takes both directions from one alignment
+        calls = {"smoothed": 0, "kl": 0, "pairs": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        divergence, metrics = newsdiv.divergence, newsdiv.metrics
+        monkeypatch.setattr(divergence, "_smoothed_masses", counting("smoothed", divergence._smoothed_masses))
+        monkeypatch.setattr(metrics, "kl", counting("kl", metrics.kl))
+        monkeypatch.setattr(metrics, "pair_divergence", counting("pairs", metrics.pair_divergence))
+        inputs = [
+            arg for role in ("news", "bodies", "behaviors") for arg in (f"--{role}", str(fixture_paths[role]))
+        ]
+        out_dir = tmp_path / "out"
+        code = main(["evaluate", *inputs, "--divergence", "kl", "--cutoffs", "0", "--out", str(out_dir)])
+        assert code == 0
+        assert calls == {"smoothed": 20, "kl": 20, "pairs": 20}
+
 
 class TestSensitivity:
     def test_full_sweep(self, fixture_paths, tmp_path):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import distance as sp_distance
 
 from newsdiv.distrib import DiscreteDistribution, smooth_pair
@@ -153,6 +153,28 @@ class TestSmoothedFlow:
                 assert str(raised.value) == str(exc)
             else:
                 assert kl(left, right, alpha) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=DISTRIBUTIONS, q=DISTRIBUTIONS, alpha=st.sampled_from([None, 0.0, 0.001, 0.2, 0.49]))
+    def test_symmetrized_kl_equals_mean_of_both_directions(self, p, q, alpha):
+        if alpha is None:  # unsmoothed: restrict q to p's domain
+            weights = {key: q.mass(key) for key in p.masses}
+            assume(sum(weights.values()) > 0.0)
+            q = DiscreteDistribution.from_weights(weights)
+        try:
+            expected = 0.5 * (kl(p, q, alpha) + kl(q, p, alpha))
+        except UnsmoothedZeroError as exc:
+            with pytest.raises(UnsmoothedZeroError) as raised:
+                kl(p, q, alpha, symmetrize=True)
+            assert str(raised.value) == str(exc)
+        else:
+            assert kl(p, q, alpha, symmetrize=True) == expected
+
+    def test_symmetrized_kl_checks_p_to_q_first(self):
+        p = DiscreteDistribution({"a": 0.5, "c": 0.5})
+        q = DiscreteDistribution({"a": 0.5, "b": 0.5})
+        with pytest.raises(UnsmoothedZeroError, match="unsmoothed zero at key 'c'"):
+            kl(p, q, 0.0, symmetrize=True)
 
     def test_unsmoothed_zero_names_the_first_key_in_sorted_order(self):
         p = DiscreteDistribution({"c": 0.5, "b": 0.5})
