@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import corpus as corpus_io
 from .config import _PATH_KEYS, OPTION_KEYS, RunConfig, load_config_file
@@ -22,13 +21,24 @@ from .recommenders import BASELINES, click_counts, recommend_popular, recommend_
 from .report import aggregate_rows, write_report, write_samples_csv, write_skips
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Ends the help of each run option with its ``RunConfig()`` default."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        key = "activation_bins" if action.dest == "bins" else action.dest
+        default = getattr(RunConfig(), key) if key in OPTION_KEYS else None
+        if isinstance(default, list):
+            default = ",".join(map(str, default))
+        return action.help if default is None else f"{action.help} (default {default})"
+
+
 class _Parser(argparse.ArgumentParser):
     """Takes each flag under its full name only, so that ``--divergence``
     cannot stand for ``--divergences``, and reports usage errors as input
     errors, so that they exit 1."""
 
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
+        super().__init__(allow_abbrev=False, formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message: str):
         raise InputError(f"{self.prog}: {message}")
@@ -42,26 +52,23 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lexicon", help="sentiment lexicon TSV")
     parser.add_argument("--gazetteer", help="entity gazetteer JSON-lines")
     parser.add_argument("--sidecar", help="enrichment override JSON-lines")
-    parser.add_argument("--seed", help="master seed (default 0)")
-    parser.add_argument("--tau", help="story-chain cosine threshold (default 0.5)")
-    parser.add_argument("--window-days", dest="window_days", help="story-chain window (default 3)")
+    parser.add_argument("--seed", help="master seed")
+    parser.add_argument("--tau", help="story-chain cosine threshold")
+    parser.add_argument("--window-days", dest="window_days", help="story-chain window")
 
 
 def _add_metric_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cutoffs", help="comma list of rank cutoffs; 0 means @N (default 0)")
-    parser.add_argument("--alpha", help="smoothing fraction (default 0.001)")
-    parser.add_argument("--bins", help="bin count for activation and complexity (default 10)")
-    parser.add_argument("--pairs", help="fragmentation partner draws per list (default 5)")
-    parser.add_argument("--recommenders", help="comma list from random,popular (default both)")
+    parser.add_argument("--cutoffs", help="comma list of rank cutoffs; 0 means @N")
+    parser.add_argument("--alpha", help="smoothing fraction")
+    parser.add_argument("--bins", help="bin count for activation and complexity")
+    parser.add_argument("--pairs", help="fragmentation partner draws per list")
+    parser.add_argument("--recommenders", help="comma list of baseline recommenders")
     parser.add_argument(
-        "--external",
-        action="append",
-        dest="externals",
-        metavar="NAME=PATH",
+        "--external", action="append", dest="externals", metavar="NAME=PATH",
         help="external recommendations JSON-lines; repeatable",
     )
     parser.add_argument("--pool", choices=POOLS, help="supply context")
-    parser.add_argument("--out", help="output directory (default out)")
+    parser.add_argument("--out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,56 +92,58 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser("evaluate", help="score recommenders on all metrics")
     _add_common_options(evaluate)
     _add_metric_options(evaluate)
-    evaluate.add_argument("--divergence", choices=KINDS, help="divergence (default js)")
-    evaluate.add_argument("--weighting", choices=SCHEMES, help="rank discount (default mrr)")
-    evaluate.set_defaults(handler=_cmd_evaluate)
+    evaluate.add_argument("--divergence", choices=KINDS, help="divergence")
+    evaluate.add_argument("--weighting", choices=SCHEMES, help="rank discount")
+    evaluate.set_defaults(handler=_cmd_score)
 
     sensitivity = subparsers.add_parser(
         "sensitivity", help="sweep divergence, rank-awareness and cutoffs"
     )
     _add_common_options(sensitivity)
     _add_metric_options(sensitivity)
-    sensitivity.add_argument("--divergences", help="comma list to sweep (default kl,js)")
-    sensitivity.add_argument("--weightings", help="comma list to sweep (default none,mrr)")
-    sensitivity.set_defaults(handler=_cmd_sensitivity)
+    sensitivity.add_argument("--divergences", help="comma list to sweep")
+    sensitivity.add_argument("--weightings", help="comma list to sweep")
+    sensitivity.set_defaults(handler=_cmd_score)
 
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    options: dict[str, object] = {}
-    if getattr(args, "config", None):
-        options.update(load_config_file(args.config))
-    for key in OPTION_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    externals = getattr(args, "externals", None)
-    if externals:
-        options["externals"] = externals
+    """Flags over the config file over the defaults; ``--external N=P`` sets ``external.N``."""
+    options = load_config_file(args.config) if args.config else {}
+    options.update(
+        {key: value for key in OPTION_KEYS if (value := getattr(args, key, None)) is not None}
+    )
+    for item in getattr(args, "externals", None) or ():
+        name, separator, path = (part.strip() for part in item.partition("="))
+        if not separator or not name:
+            raise InputError(f"--external expects name=path, got {item!r}")
+        if not path:
+            raise InputError(f"--external {name}= has an empty path")
+        options[f"external.{name}"] = path
     return RunConfig.from_options(options)
 
 
 def _require(config: RunConfig, *names: str) -> None:
+    """Check, before anything is loaded, the options and input files given."""
     for name in names:
         if getattr(config, name) is None:
             raise InputError(f"--{name} is required for this command")
-    for name in _PATH_KEYS:
-        path = getattr(config, name)
+    given = [(name, getattr(config, name)) for name in _PATH_KEYS]
+    given += [("external recommendations", path) for path in config.externals.values()]
+    for name, path in given:
         if path is not None and not path.exists():
             raise InputError(f"{name} file not found: {path}")
 
 
 def _load_corpus(config: RunConfig, impressions=None) -> corpus_io.Corpus:
     corpus = corpus_io.load_catalog(config.news, config.bodies)
-    lexicon = load_lexicon(config.lexicon) if config.lexicon else None
-    gazetteer = load_gazetteer(config.gazetteer) if config.gazetteer else None
     enrich_corpus(
         corpus,
-        lexicon=lexicon,
-        gazetteer=gazetteer,
+        lexicon=load_lexicon(config.lexicon) if config.lexicon else None,
+        gazetteer=load_gazetteer(config.gazetteer) if config.gazetteer else None,
         tau=config.tau,
-        window_seconds=config.window_days * 86400.0,
+        window_seconds=config.window_seconds,
         impressions=impressions,
     )
     if config.sidecar:
@@ -144,8 +153,7 @@ def _load_corpus(config: RunConfig, impressions=None) -> corpus_io.Corpus:
     return corpus
 
 
-def _cmd_enrich(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_enrich(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "news")
     impressions = corpus_io.load_behaviors(config.behaviors) if config.behaviors else None
     corpus = _load_corpus(config, impressions)
@@ -154,8 +162,7 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recommend(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_recommend(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "behaviors")
     impressions = corpus_io.load_behaviors(config.behaviors)
     recommendations = _baseline(args.strategy, impressions, config.seed)
@@ -175,15 +182,16 @@ def _baseline(strategy: str, impressions, seed: int):
 def _gather_recommendations(config: RunConfig, impressions):
     by_source = {name: _baseline(name, impressions, config.seed) for name in config.recommenders}
     for name, path in sorted(config.externals.items()):
-        if not Path(path).exists():
-            raise InputError(f"external recommendations file not found: {path}")
-        by_source[f"external:{name}"] = corpus_io.load_recommendations(
-            path, impressions, source=f"external:{name}"
-        )
+        source = f"external:{name}"
+        by_source[source] = corpus_io.load_recommendations(path, impressions, source=source)
     return by_source
 
 
-def _run_evaluation(config: RunConfig, grid) -> int:
+def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.command == "evaluate":
+        grid = build_grid([config.divergence], [config.weighting], config.cutoffs)
+    else:
+        grid = build_grid(config.divergences, config.weightings, config.cutoffs)
     _require(config, "news", "behaviors")
     if not config.recommenders and not config.externals:
         raise InputError("no recommenders to score: --recommenders is empty and no --external given")
@@ -197,14 +205,9 @@ def _run_evaluation(config: RunConfig, grid) -> int:
         )
     recommendations = _gather_recommendations(config, impressions)
     result = evaluate_recommendations(
-        corpus,
-        impressions,
-        recommendations,
-        config.metric_config(),
-        grid,
-        pool=config.pool,
+        corpus, impressions, recommendations, config.metric_config(), grid, pool=config.pool
     )
-    out_dir = Path(config.out)
+    out_dir = config.out
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = aggregate_rows(result.sample_columns, result.skip_columns)
     write_report(rows, out_dir / "report.json", config.echo())
@@ -218,22 +221,12 @@ def _run_evaluation(config: RunConfig, grid) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    grid = build_grid([config.divergence], [config.weighting], config.cutoffs)
-    return _run_evaluation(config, grid)
-
-
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    grid = build_grid(config.divergences, config.weightings, config.cutoffs)
-    return _run_evaluation(config, grid)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        return args.handler(args, _resolve_config(args))
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

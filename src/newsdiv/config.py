@@ -1,32 +1,41 @@
-"""Run configuration: defaults, key=value config files and flag merging.
+"""Run configuration: key=value config files and the options of one run.
 
 A config file holds one ``key = value`` pair per line (``#`` comments and
 blank lines allowed; values may be quoted, and a ``#`` inside quotes is kept).
 Keys are those of :data:`OPTION_KEYS`; external recommendation files use keys
-of the form ``external.<name> = <path>``.  Command-line flags override the
-file, which overrides the built-in defaults.
+of the form ``external.<name> = <path>``.  Flags override the file, which
+overrides the defaults; those are the library's own, but for the swept
+weightings and the cutoffs.  Each value of a file is checked on its line.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
 from .corpus import read_lines
-from .distrib import SCHEMES, Binning, RankWeighting
+from .distrib import SCHEMES
 from .divergence import KINDS
-from .enrich import check_chaining
+from .enrich import DEFAULT_TAU, DEFAULT_WINDOW_SECONDS, check_chaining
 from .errors import InputError
 from .evaluate import POOLS, build_grid
 from .metrics import MetricConfig
 from .recommenders import BASELINES
 
 _PATH_KEYS = ("news", "bodies", "behaviors", "lexicon", "gazetteer", "sidecar")
+_DAY_SECONDS = 86400.0
+_METRIC_DEFAULTS = MetricConfig()
 
 
 def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _out_dir(text: str) -> Path:
+    if not text:
+        raise ValueError("empty output directory")
+    return Path(text)
 
 
 # How the text of each option that a flag or a config file can set becomes
@@ -39,7 +48,7 @@ _PARSERS = {
     **dict.fromkeys(("alpha", "tau", "window_days"), float),
     **dict.fromkeys(("bins", "activation_bins", "complexity_bins", "pairs", "seed"), int),
     "cutoffs": lambda text: [int(part) for part in _split_list(text)],
-    "out": Path,
+    "out": _out_dir,
 }
 OPTION_KEYS = frozenset(_PARSERS)
 
@@ -85,25 +94,25 @@ class RunConfig:
     externals: dict[str, Path] = field(default_factory=dict)
     out: Path = Path("out")
 
-    recommenders: list[str] = field(default_factory=lambda: ["random", "popular"])
-    divergence: str = "js"
-    weighting: str = "mrr"
-    divergences: list[str] = field(default_factory=lambda: ["kl", "js"])
+    recommenders: list[str] = field(default_factory=lambda: list(BASELINES))
+    divergence: str = _METRIC_DEFAULTS.divergence
+    weighting: str = _METRIC_DEFAULTS.weighting.scheme
+    divergences: list[str] = field(default_factory=lambda: list(KINDS))
     weightings: list[str] = field(default_factory=lambda: ["none", "mrr"])
     cutoffs: list[int] = field(default_factory=lambda: [0])
-    alpha: float = 0.001
-    activation_bins: int = 10
-    complexity_bins: int = 10
-    pairs: int = 5
-    seed: int = 0
-    pool: str = "impression"
-    tau: float = 0.5
-    window_days: float = 3.0
+    alpha: float = _METRIC_DEFAULTS.alpha
+    activation_bins: int = _METRIC_DEFAULTS.activation_bins.bin_count
+    complexity_bins: int = _METRIC_DEFAULTS.complexity_bins.bin_count
+    pairs: int = _METRIC_DEFAULTS.fragmentation_pairs
+    seed: int = _METRIC_DEFAULTS.seed
+    pool: str = POOLS[0]
+    tau: float = DEFAULT_TAU
+    window_days: float = DEFAULT_WINDOW_SECONDS / _DAY_SECONDS
 
     @classmethod
     def from_options(cls, options: Mapping[str, object]) -> "RunConfig":
         """Build from string options over the field defaults, validating as
-        it goes."""
+        it goes.  External files come as ``external.<name>`` keys."""
         config = cls()
         for key, parse in _PARSERS.items():
             if options.get(key) is None:
@@ -116,16 +125,6 @@ class RunConfig:
                 config.activation_bins = config.complexity_bins = value
             else:
                 setattr(config, key, value)
-
-        externals = options.get("externals")
-        if externals:
-            for item in externals if isinstance(externals, list) else _split_list(str(externals)):
-                name, separator, path_text = item.partition("=")
-                if not separator or not name.strip():
-                    raise InputError(f"--external expects name=path, got {item!r}")
-                if not path_text.strip():
-                    raise InputError(f"--external {name.strip()}= has an empty path")
-                config.externals[name.strip()] = Path(path_text.strip())
         for key, value in options.items():
             if isinstance(key, str) and key.startswith("external."):
                 if not str(value).strip():
@@ -151,17 +150,22 @@ class RunConfig:
             self.metric_config()
             build_grid([self.divergence], [self.weighting], self.cutoffs)
             build_grid(self.divergences, self.weightings, self.cutoffs)
-            check_chaining(self.tau, self.window_days * 86400.0)
+            check_chaining(self.tau, self.window_seconds)
         except ValueError as exc:
             raise InputError(str(exc)) from None
 
+    @property
+    def window_seconds(self) -> float:
+        return self.window_days * _DAY_SECONDS
+
     def metric_config(self) -> MetricConfig:
-        return MetricConfig(
+        return replace(
+            _METRIC_DEFAULTS,
             divergence=self.divergence,
-            weighting=RankWeighting(self.weighting, None),
+            weighting=replace(_METRIC_DEFAULTS.weighting, scheme=self.weighting),
             alpha=self.alpha,
-            activation_bins=Binning("activation", self.activation_bins, 0.0, 1.0),
-            complexity_bins=Binning("complexity", self.complexity_bins, 0.0, 100.0),
+            activation_bins=replace(_METRIC_DEFAULTS.activation_bins, bin_count=self.activation_bins),
+            complexity_bins=replace(_METRIC_DEFAULTS.complexity_bins, bin_count=self.complexity_bins),
             fragmentation_pairs=self.pairs,
             seed=self.seed,
         )

@@ -123,9 +123,6 @@ class Corpus:
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
-    def get(self, article_id: str) -> Article | None:
-        return self.articles.get(article_id)
-
     def __getitem__(self, article_id: str) -> Article:
         return self.articles[article_id]
 

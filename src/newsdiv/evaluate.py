@@ -6,9 +6,9 @@ from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, MutableSequence, NamedTuple, Sequence
+from typing import Callable, Mapping, MutableSequence, NamedTuple, Sequence
 
-from .corpus import Article, Corpus, ImpressionLog, RecommendationList
+from .corpus import Corpus, ImpressionLog, RecommendationList
 from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribution
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
@@ -47,11 +47,6 @@ class KeyedRow:
     cutoff: int
     pair_id: str
 
-    def config_key(self) -> tuple:
-        """The report row this sample or skip belongs to: its
-        ``CONFIG_COLUMNS`` values."""
-        return _config_key(self)
-
     def row_key(self) -> tuple:
         return _row_key(self)
 
@@ -60,8 +55,12 @@ class KeyedRow:
 # output file; all of them but the pair id name a report row.
 KEY_COLUMNS = tuple(key_field.name for key_field in fields(KeyedRow))
 CONFIG_COLUMNS = KEY_COLUMNS[:-1]
-_config_key = attrgetter(*CONFIG_COLUMNS)
 _row_key = attrgetter(*KEY_COLUMNS)
+
+
+def _config_key(metric: str, source: str, point: GridPoint) -> tuple:
+    """The ``CONFIG_COLUMNS`` value of a metric's rows of one source and point."""
+    return (metric, source, point.divergence, point.weighting, point.cutoff)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,11 +157,13 @@ def build_grid(
     weightings: Sequence[str],
     cutoffs: Sequence[int],
 ) -> list[GridPoint]:
-    if not cutoffs or min(cutoffs) < 0:
-        raise ValueError("cutoffs must be a non-empty list of values >= 0 (0 means no cutoff)")
     for name, values in (("divergences", divergences), ("weightings", weightings), ("cutoffs", cutoffs)):
+        if not values:
+            raise ValueError(f"{name} must be a non-empty list")
         if len(set(values)) < len(values):
             raise ValueError(f"{name} list has duplicates: {', '.join(map(str, values))}")
+    if min(cutoffs) < 0:
+        raise ValueError("cutoffs must be a non-empty list of values >= 0 (0 means no cutoff)")
     return [
         GridPoint(divergence, weighting, cutoff)
         for divergence in divergences
@@ -213,6 +214,7 @@ class _Scorer:
         metric_config: MetricConfig,
         grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
         day_pools: Mapping[str, tuple[str, ...]],
+        sources: Sequence[str],
     ):
         key_fns = metric_keys(metric_config)
         self.metrics = tuple(key_fns)
@@ -221,9 +223,17 @@ class _Scorer:
         # The key function of each metric over the rows of self.keys.
         self.row_key_fns = tuple(itemgetter(index) for index in range(len(self.metrics)))
         self.plans = [
-            (point, config, [context_builder(metric, config.weighting) for metric in self.metrics])
-            for point, config in grid_configs
+            (config, [context_builder(metric, config.weighting) for metric in self.metrics])
+            for _, config in grid_configs
         ]
+        # Each source's config keys, by entry of self.plans and metric.
+        self.config_keys = {
+            source: [
+                [_config_key(metric, source, point) for metric in self.metrics]
+                for point, _ in grid_configs
+            ]
+            for source in sources
+        }
         self.day_pools = day_pools
         self.day_contexts: dict[str, dict[tuple[int, RankWeighting], _Built]] = {}
         self.samples: defaultdict[tuple, Columns] = defaultdict(_sample_columns)
@@ -266,8 +276,8 @@ class _Scorer:
         history_contexts: dict[tuple[int, RankWeighting], _Built] = {}
         for source, recommendation in entries:
             lists: dict[tuple[int, RankWeighting], _Built] = {}
-            for point, config, context_builders in self.plans:
-                for metric, name in enumerate(self.metrics):
+            for (config, context_builders), keys in zip(self.plans, self.config_keys[source]):
+                for metric, key in enumerate(keys):
                     build, weighting = context_builders[metric]
                     if self.from_history[metric]:
                         context = self._built(
@@ -282,7 +292,6 @@ class _Scorer:
                         metric,
                         config.weighting,
                     )
-                    key = (name, source, point.divergence, point.weighting, point.cutoff)
                     value = _sample(context, recommended, config)
                     if isinstance(value, str):
                         self.skips[key].add(impression.impression_id, value)
@@ -338,7 +347,7 @@ def evaluate_recommendations(
             listed.add(impression_id)
             lists_by_impression.setdefault(impression_id, []).append((source, recommendation))
 
-    scorer = _Scorer(corpus, metric_config, grid_configs, day_pools)
+    scorer = _Scorer(corpus, metric_config, grid_configs, day_pools, recommendations_by_source)
     for impression_id in sorted(lists_by_impression):
         scorer.score_impression(by_impression[impression_id], lists_by_impression[impression_id])
     samples, skips = scorer.samples, scorer.skips
@@ -369,19 +378,15 @@ def _add_fragmentation(
     """Append one source's fragmentation samples and skips at every grid
     point to their column sets, in draw order."""
     ranked_articles = {
-        recommendation.impression_id: _resolve(corpus, recommendation.ranked_items)
+        recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]
         for recommendation in recommendations
     }
     chains: dict[RankWeighting, dict[str, _Built]] = {}
     for point, config in grid_configs:
         outcome = sample_fragmentation(ranked_articles, config, chains)
-        key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
+        key = _config_key("fragmentation", source, point)
         for pair_id, value in outcome.samples:
             samples[key].add(pair_id, value)
         for pair_id, reason in outcome.skips:
             skips[key].add(pair_id, reason)
         del outcome  # before the next point's draw
-
-
-def _resolve(corpus: Corpus, ids: Iterable[str]) -> list[Article]:
-    return [corpus[article_id] for article_id in ids]

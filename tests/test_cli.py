@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import newsdiv
-from newsdiv.cli import main
-from newsdiv.config import RunConfig, load_config_file
+from newsdiv.cli import build_parser, main
+from newsdiv.config import OPTION_KEYS, RunConfig, load_config_file
 from newsdiv.corpus import load_behaviors, load_recommendations
-from newsdiv.metrics import METRIC_NAMES
+from newsdiv.enrich import DEFAULT_TAU, DEFAULT_WINDOW_SECONDS
+from newsdiv.metrics import METRIC_NAMES, MetricConfig
 from newsdiv.report import read_samples_csv
 
 
@@ -726,3 +728,116 @@ class TestWarnings:
         bodies = fixture_paths["bodies"]
         warning = f"warning: {bodies}:9: body for unknown article 'N9' skipped\n"
         assert capsys.readouterr().err == warning
+
+
+def _external_rows(out_dir):
+    report = json.loads((out_dir / "report.json").read_text())
+    return report["config"]["externals"], [
+        row for row in report["rows"] if row["recommender"] == "external:m"
+    ]
+
+
+class TestOptionRules:
+    def test_external_flag_beats_the_config_file(self, fixture_paths, tmp_path):
+        from_file = fixture_paths["recommendations"]
+        from_flag = tmp_path / "reversed.jsonl"
+        records = [json.loads(line) for line in from_file.read_text(encoding="utf-8").splitlines()]
+        from_flag.write_text(
+            "".join(
+                json.dumps({**record, "ranked_item_ids": record["ranked_item_ids"][::-1]}) + "\n"
+                for record in records
+            ),
+            encoding="utf-8",
+        )
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"external.m = {from_file}\n", encoding="utf-8")
+
+        def run(name, *extra):
+            out_dir = tmp_path / name
+            assert main(["evaluate", *base_args(fixture_paths, out_dir, "--cutoffs", "0"), *extra]) == 0
+            return _external_rows(out_dir)
+
+        both = run("both", "--config", str(config_path), "--external", f"m={from_flag}")
+        flag_only = run("flag", "--external", f"m={from_flag}")
+        file_only = run("file", "--config", str(config_path))
+        assert both[0] == {"m": str(from_flag)}
+        assert both[1] == flag_only[1]
+        assert flag_only[1] != file_only[1]
+
+    @pytest.mark.parametrize("flags", [["--divergences", ","], ["--weightings", ","], ["--cutoffs", ","]])
+    def test_empty_sweep_list_flag_is_input_error(self, fixture_paths, tmp_path, capsys, flags):
+        out_dir = tmp_path / "out"
+        assert main(["sensitivity", *base_args(fixture_paths, out_dir), *flags]) == 1
+        assert f"error: {flags[0][2:]} must be a non-empty list" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["divergences", "weightings"])
+    def test_empty_sweep_list_key_names_its_line(self, fixture_paths, tmp_path, capsys, key):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(f"seed = 1\n{key} =\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        args = ["sensitivity", *base_args(fixture_paths, out_dir), "--config", str(config_path)]
+        assert main(args) == 1
+        assert f"error: {config_path}:2: {key} must be a non-empty list" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_empty_out_flag_is_input_error(self, fixture_paths, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", *base_args(fixture_paths, "")]) == 1
+        assert capsys.readouterr().err == "error: invalid value for out: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_key_names_its_line(self, fixture_paths, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("seed = 1\nout =\n", encoding="utf-8")
+        args = [*base_args(fixture_paths, "unused")[:-2], "--config", str(config_path)]
+        assert main(["evaluate", *args]) == 1
+        assert capsys.readouterr().err == f"error: {config_path}:2: invalid value for out: ''\n"
+        assert list(tmp_path.iterdir()) == [config_path]
+
+    def test_missing_external_is_reported_before_any_input_is_read(
+        self, fixture_paths, tmp_path, capsys
+    ):
+        behaviors = tmp_path / "behaviors.tsv"
+        behaviors.write_text("not a behaviors line\n", encoding="utf-8")
+        missing = tmp_path / "missing.jsonl"
+        code = main(
+            [
+                "evaluate",
+                "--news", str(fixture_paths["news"]),
+                "--behaviors", str(behaviors),
+                "--external", f"m={missing}",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: external recommendations file not found: {missing}\n"
+
+    def test_defaults_are_the_library_defaults(self):
+        config = RunConfig()
+        assert config.metric_config() == MetricConfig()
+        assert config.tau == DEFAULT_TAU
+        assert config.window_days * 86400.0 == DEFAULT_WINDOW_SECONDS
+
+
+def _subcommand_flags() -> dict[str, set[str]]:
+    """The flag destinations of each subcommand of the CLI parser."""
+    (subparsers,) = [
+        action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        command: {action.dest for action in parser._actions}
+        for command, parser in subparsers.choices.items()
+    }
+
+
+class TestFlagsMatchOptionKeys:
+    def test_every_flag_is_an_option_key(self):
+        for command, dests in _subcommand_flags().items():
+            unread = dests - OPTION_KEYS - {"help", "config", "output", "strategy", "externals"}
+            assert unread == set(), command
+
+    def test_every_option_key_is_a_flag(self):
+        flags = set().union(*_subcommand_flags().values())
+        assert OPTION_KEYS - flags == {"activation_bins", "complexity_bins"}
