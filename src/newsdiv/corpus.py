@@ -14,7 +14,8 @@ File formats (all UTF-8, LF line endings):
   "ranked_item_ids"}``.
 
 The loaders keep input order, so parsed lists line up with file rows.  An
-error about a line starts with ``path:lineno``.
+error about a line starts with ``path:lineno``.  Within one load, equal ids
+are one shared ``str`` object (see :func:`id_table`).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -179,6 +180,16 @@ def read_lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def id_table() -> Callable[[str], str]:
+    """A function that maps each id to the first equal string it was given.
+
+    Each load makes its own, so that its result holds one object per
+    distinct id and the table is dropped with the load.  ``sys.intern``
+    would keep every id for the rest of the process."""
+    table: dict[str, str] = {}
+    return lambda text: table.setdefault(text, text)
+
+
 _REQUIRED = object()
 _KINDS = {str: "a string", list: "a list of strings", int: "an integer", bool: "true or false",
           float: "a finite number"}
@@ -308,11 +319,16 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
 
     The source logs history oldest first; it is reversed here so that
     position 1 is the most recently read article, the orientation the
-    recency discount expects.
+    recency discount expects.  An impression id must be non-empty, free of
+    ``|`` (the separator of fragmentation pair ids) and unique; a pool must
+    not list an article twice.
     """
     path = Path(path)
     impressions = []
     first_lines: dict[str, int] = {}
+    shared = id_table()
+    # Each distinct well-formed candidate token, parsed once.
+    parsed: dict[str, tuple[str, bool]] = {}
     for lineno, line in read_lines(path):
         columns = line.split("\t")
         if len(columns) < 5:
@@ -320,25 +336,42 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
                 f"{path}:{lineno}: expected 5 tab-separated columns, got {len(columns)}"
             )
         impression_id, user_id, time_text, history_text, candidates_text = columns[:5]
+        if not impression_id:
+            raise ValidationError(f"{path}:{lineno}: empty impression id")
+        if "|" in impression_id:
+            raise ValidationError(
+                f"{path}:{lineno}: impression id {impression_id!r} contains '|', "
+                "which separates the ids of a fragmentation pair"
+            )
         check_unique(first_lines, impression_id, path, lineno, "impression id")
         candidates = []
         for token in candidates_text.split():
-            match = _CANDIDATE_RE.match(token)
-            if match is None:
-                raise ParseError(
-                    f"{path}:{lineno}: impression {impression_id!r}: "
-                    f"candidate token {token!r} lacks a -0/-1 click suffix"
-                )
-            candidates.append((match.group(1), match.group(2) == "1"))
+            candidate = parsed.get(token)
+            if candidate is None:
+                match = _CANDIDATE_RE.match(token)
+                if match is None:
+                    raise ParseError(
+                        f"{path}:{lineno}: impression {impression_id!r}: "
+                        f"candidate token {token!r} lacks a -0/-1 click suffix"
+                    )
+                candidate = parsed[token] = (shared(match.group(1)), match.group(2) == "1")
+            candidates.append(candidate)
         if not candidates:
             raise ParseError(f"{path}:{lineno}: impression {impression_id!r} has no candidates")
+        if len({article_id for article_id, _ in candidates}) < len(candidates):
+            counts = Counter(article_id for article_id, _ in candidates)
+            repeated = sorted(article_id for article_id, count in counts.items() if count > 1)
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate candidates in the pool of impression "
+                f"{impression_id!r}: {', '.join(repeated)}"
+            )
         impressions.append(
             ImpressionLog(
                 impression_id=impression_id,
-                user_id=user_id,
+                user_id=shared(user_id),
                 time=_timestamp(time_text, path, lineno),
                 candidates=tuple(candidates),
-                history=tuple(reversed(history_text.split())),
+                history=tuple(map(shared, reversed(history_text.split()))),
             )
         )
     return impressions
@@ -366,6 +399,7 @@ def load_recommendations(
     )
     recommendations = []
     first_lines: dict[str, int] = {}
+    shared = id_table()
     for record in read_records(path):
         impression_id = record.get("impression_id", str)
         user_id = record.get("user_id", str)
@@ -386,13 +420,18 @@ def load_recommendations(
                     f"{record.where}: user id {user_id!r} does not match impression "
                     f"{impression_id!r}, which belongs to {impression.user_id!r}"
                 )
-            pool = set(impression.candidate_ids)
+            pool = {article_id: article_id for article_id in impression.candidate_ids}
             outside = sorted(item for item in ranked if item not in pool)
             if outside:
                 raise ValidationError(
                     f"{record.where}: items outside the candidate pool of impression "
                     f"{impression_id!r}: {', '.join(outside)}"
                 )
+            impression_id, user_id = impression.impression_id, impression.user_id
+            ranked = [pool[item] for item in ranked]
+        else:
+            user_id = shared(user_id)
+            ranked = [shared(item) for item in ranked]
         recommendations.append(
             RecommendationList(
                 impression_id=impression_id,

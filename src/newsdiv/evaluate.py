@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, MutableSequence, NamedTuple, Sequence
 
-from .corpus import Corpus, ImpressionLog, RecommendationList
+from .corpus import Corpus, ImpressionLog, RecommendationList, id_table
 from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribution
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
@@ -354,8 +354,12 @@ def evaluate_recommendations(
     # Free the scorer's caches before the partner draws of fragmentation.
     del scorer, lists_by_impression
 
+    # One object per distinct pair id, across sources and grid points.
+    pair_ids = id_table()
     for source in sorted(recommendations_by_source):
-        _add_fragmentation(samples, skips, corpus, source, recommendations_by_source[source], grid_configs)
+        _add_fragmentation(
+            samples, skips, corpus, source, recommendations_by_source[source], grid_configs, pair_ids
+        )
     # Fragmentation pair ids ("u|v") come in draw order.  Each key is sorted
     # once, after every grid point has added its rows (a grid may repeat a
     # point).
@@ -374,9 +378,11 @@ def _add_fragmentation(
     source: str,
     recommendations: Sequence[RecommendationList],
     grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
+    pair_ids: Callable[[str], str],
 ) -> None:
     """Append one source's fragmentation samples and skips at every grid
-    point to their column sets, in draw order."""
+    point to their column sets, in draw order, each pair id as
+    ``pair_ids`` maps it."""
     ranked_articles = {
         recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]
         for recommendation in recommendations
@@ -386,7 +392,7 @@ def _add_fragmentation(
         outcome = sample_fragmentation(ranked_articles, config, chains)
         key = _config_key("fragmentation", source, point)
         for pair_id, value in outcome.samples:
-            samples[key].add(pair_id, value)
+            samples[key].add(pair_ids(pair_id), value)
         for pair_id, reason in outcome.skips:
-            skips[key].add(pair_id, reason)
+            skips[key].add(pair_ids(pair_id), reason)
         del outcome  # before the next point's draw

@@ -648,6 +648,34 @@ class TestErrorPaths:
         assert code == 1
         assert f"{behaviors}:4: duplicate impression id 'I2' (first on line 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("\tU4\t2019-11-12T12:00:00Z\t\tN1-1", "empty impression id"),
+            ("I4|I5\tU4\t2019-11-12T12:00:00Z\t\tN1-1", "impression id 'I4|I5' contains '|'"),
+            (
+                "I4\tU4\t2019-11-12T12:00:00Z\t\tN1-1 N2-0 N3-0 N4-0 N1-1",
+                "duplicate candidates in the pool of impression 'I4': N1",
+            ),
+        ],
+        ids=["empty-id", "pipe-in-id", "repeated-candidate"],
+    )
+    def test_malformed_behaviors_impression_is_input_error(
+        self, fixture_paths, tmp_path, capsys, command, line, message
+    ):
+        behaviors = tmp_path / "behaviors.tsv"
+        lines = fixture_paths["behaviors"].read_text(encoding="utf-8").splitlines()
+        behaviors.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "evaluate":
+            args = ["evaluate", *base_args(fixture_paths, out), "--behaviors", str(behaviors)]
+        else:
+            args = ["recommend", "--behaviors", str(behaviors), "--strategy", "random", "-o", str(out)]
+        assert main(args) == 1
+        assert f"error: {behaviors}:4: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_python_dash_m_runs_the_cli(self):
         source = Path(newsdiv.__file__).resolve().parent.parent
         result = subprocess.run(

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from datetime import datetime, timezone
 
 import pytest
@@ -103,6 +104,96 @@ class TestLoadBehaviors:
         message = f"{path}:3: duplicate impression id 'I1' (first on line 1)"
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_behaviors(path)
+
+    def test_malformed_candidate_named_with_its_line_after_valid_ones_were_parsed(self, tmp_path):
+        path = tmp_path / "behaviors.tsv"
+        path.write_text(
+            "I1\tU1\t2019-11-12T10:00:00Z\tN1\tN1-1 N2-0\n"
+            "I2\tU2\t2019-11-12T10:00:00Z\tN1\tN1-1 N2-0 N2-2\n",
+            encoding="utf-8",
+        )
+        message = f"{path}:2: impression 'I2': candidate token 'N2-2' lacks a -0/-1 click suffix"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            load_behaviors(path)
+
+
+# A valid first line, then (second line, the message after "path:2: ").
+BAD_IMPRESSIONS = [
+    ("\tU1\t2019-11-12T10:00:00Z\t\tN1-1", "empty impression id"),
+    (
+        "I1|I2\tU1\t2019-11-12T10:00:00Z\t\tN1-1",
+        "impression id 'I1|I2' contains '|', which separates the ids of a fragmentation pair",
+    ),
+    (
+        "I1\tU1\t2019-11-12T10:00:00Z\t\tN1-1 N2-0 N3-0 N4-0 N1-1",
+        "duplicate candidates in the pool of impression 'I1': N1",
+    ),
+    (
+        "I1\tU1\t2019-11-12T10:00:00Z\t\tN3-0 N1-1 N3-1 N2-0 N1-0",
+        "duplicate candidates in the pool of impression 'I1': N1, N3",
+    ),
+]
+FIRST_IMPRESSION = "I0\tU0\t2019-11-12T09:00:00Z\tN1\tN1-1 N2-0\n"
+
+
+@pytest.mark.parametrize(
+    "line,message", BAD_IMPRESSIONS, ids=["empty-id", "pipe-in-id", "repeated-candidate", "two-repeated"]
+)
+def test_malformed_impression_named_with_its_line(tmp_path, line, message):
+    path = tmp_path / "behaviors.tsv"
+    path.write_text(FIRST_IMPRESSION + line + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:2: {message}") + "$"):
+        load_behaviors(path)
+
+
+class TestSharedIds:
+    """Within one load, equal ids are one object; no table outlives it."""
+
+    def test_behaviors_hold_one_object_per_id(self, synthetic_world):
+        impressions = load_behaviors(synthetic_world["behaviors"])
+        ids = [
+            article_id
+            for impression in impressions
+            for article_id in (*impression.candidate_ids, *impression.history)
+        ]
+        assert len(ids) > len(set(ids))
+        assert len({id(article_id) for article_id in ids}) == len(set(ids))
+        candidates = [candidate for impression in impressions for candidate in impression.candidates]
+        assert len({id(candidate) for candidate in candidates}) == len(set(candidates))
+
+    def test_validated_lists_hold_the_impressions_objects(self, fixture_paths):
+        loaded = load_behaviors(fixture_paths["behaviors"])
+        impressions = {impression.impression_id: impression for impression in loaded}
+        recommendations = load_recommendations(fixture_paths["recommendations"], loaded)
+        for recommendation in recommendations:
+            impression = impressions[recommendation.impression_id]
+            assert recommendation.impression_id is impression.impression_id
+            assert recommendation.user_id is impression.user_id
+            pool = {id(article_id) for article_id in impression.candidate_ids}
+            assert {id(item) for item in recommendation.ranked_items} <= pool
+
+    def test_unvalidated_lists_hold_one_object_per_id(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        lines = [
+            {"impression_id": "I1", "user_id": "U1", "ranked_item_ids": ["N1", "N2"]},
+            {"impression_id": "I2", "user_id": "U1", "ranked_item_ids": ["N2", "N1"]},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        first, second = load_recommendations(path)
+        assert first.user_id is second.user_id
+        assert [id(item) for item in first.ranked_items] == [id(item) for item in reversed(second.ranked_items)]
+
+    @pytest.mark.parametrize(
+        "role,load,ids",
+        [("behaviors", load_behaviors, "candidate_ids"), ("recommendations", load_recommendations, "ranked_items")],
+    )
+    def test_no_table_outlives_a_load(self, fixture_paths, role, load, ids):
+        first, second = load(fixture_paths[role]), load(fixture_paths[role])
+        article_id, other = (getattr(loaded[0], ids)[0] for loaded in (first, second))
+        assert article_id == other and article_id is not other
+        del first, second, other
+        # Only this frame's name and getrefcount's argument are left.
+        assert sys.getrefcount(article_id) == 2
 
 
 class TestTimes:

@@ -169,6 +169,27 @@ class TestEvaluateRecommendations:
                 pair_ids.setdefault(key, set()).add(row.pair_id)
         assert len(set(map(frozenset, pair_ids.values()))) == 1
 
+    def test_fragmentation_pair_ids_shared_across_sources_and_grid(self, world):
+        corpus, impressions = world
+        recommendations = {
+            source: [recommend_random(impression, seed=seed) for impression in impressions[:10]]
+            for source, seed in (("a", 1), ("b", 2))
+        }
+        grid = build_grid(["js", "kl"], ["mrr"], [5, 0])
+        result = evaluate_recommendations(
+            corpus, impressions, recommendations, MetricConfig(seed=1, fragmentation_pairs=2), grid
+        )
+        pair_ids = [
+            pair_id
+            for column_sets in (result.sample_columns, result.skip_columns)
+            for key, columns in column_sets.items()
+            if key[0] == "fragmentation"
+            for pair_id in columns.pair_ids
+        ]
+        # 2 sources x 4 points x 10 lists x 2 partners, over 20 distinct pairs
+        assert len(pair_ids) == 160
+        assert len({id(pair_id) for pair_id in pair_ids}) == len(set(pair_ids)) == 20
+
     def test_chain_distributions_built_once_per_weighting(self, world, monkeypatch):
         corpus, impressions = world
         recommendations = {

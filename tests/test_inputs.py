@@ -143,7 +143,11 @@ JSON_VALUES = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=6,
 )
-CELLS = NAMES | st.sampled_from(["N1-1 N2-0", "N1 N2", "0.5", "11/12/2019 9:25:58 AM"]) | st.text(max_size=8)
+CELLS = (
+    NAMES
+    | st.sampled_from(["N1-1 N2-0", "N1-1 N1-0", "I1|I2", "N1 N2", "0.5", "11/12/2019 9:25:58 AM"])
+    | st.text(max_size=8)
+)
 LINES = st.one_of(
     st.text(),
     st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, max_size=6).map(json.dumps),
