@@ -2,11 +2,16 @@
 grid, with skips recorded instead of silently biasing the means."""
 from __future__ import annotations
 
+import gc
+import marshal
+import os
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Callable, Mapping, MutableSequence, NamedTuple, Sequence
+from typing import Callable, Mapping, MutableSequence, NamedTuple, NoReturn, Sequence
 
 from .corpus import Corpus, ImpressionLog, RecommendationList, id_table
 from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribution
@@ -299,6 +304,143 @@ class _Scorer:
                         self.samples[key].add(impression.impression_id, value)
 
 
+# Scored column sets: samples, then skips.
+_Scored = tuple[ColumnSets, ColumnSets]
+
+# Lists x grid points from which per-impression scoring runs in a forked
+# child.  Measured on 2 vCPU with js/mrr/@N lists of the benchmark's `log`
+# world, a CLI-sized process lost 10-20 ms by forking at 100-250 and gained
+# 85-160 ms (21-40%) at 500-1000; the test suite's largest runs stay below.
+_FORK_MIN_WORK = 1000
+
+
+def _start_scoring(
+    scorer: _Scorer,
+    impressions: Sequence[tuple[ImpressionLog, Sequence[tuple[str, RecommendationList]]]],
+    work: int,
+) -> Callable[[], _Scored]:
+    """Score ``impressions`` (each with its lists, in impression id order)
+    and return a function that returns the scorer's column sets.
+
+    With at least ``_FORK_MIN_WORK`` lists x grid points, more than one CPU
+    and no other thread, the scoring runs in a child made with
+    ``os.fork()``, and the caller can score fragmentation meanwhile; the
+    returned function waits for the child and raises the child's exception,
+    if any.  Otherwise the scoring runs here, before this returns."""
+    if _forks(work):
+        # The child's collector leaves the inherited heap alone, so that its
+        # pages stay shared; objects a caller froze stay frozen.
+        thaw = gc.get_freeze_count() == 0
+        gc.freeze()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            if thaw:
+                gc.unfreeze()
+        else:
+            if pid == 0:
+                os.close(read_fd)
+                _score_in_child(scorer, impressions, write_fd)
+            os.close(write_fd)
+            ids = [impression.impression_id for impression, _ in impressions]
+            return partial(_finish_child, pid, read_fd, ids, thaw)
+    for impression, entries in impressions:
+        scorer.score_impression(impression, entries)
+    scored = scorer.samples, scorer.skips
+    return lambda: scored
+
+
+def _forks(work: int) -> bool:
+    return (
+        work >= _FORK_MIN_WORK
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+    )
+
+
+def _score_in_child(scorer: _Scorer, impressions: Sequence, write_fd: int) -> NoReturn:
+    """The forked child: score, send the column sets to the parent through
+    ``write_fd``, one marshal record per configuration, and exit.  A record
+    holds the rows as positions in ``impressions`` (an ``array('i')``) and
+    the sample values as bytes or the skip reasons as a list.  An exception
+    is sent as pickled bytes, for the parent to raise."""
+    from array import array
+
+    try:
+        with open(write_fd, "wb") as stream:
+            try:
+                for impression, entries in impressions:
+                    scorer.score_impression(impression, entries)
+                position = {
+                    impression.impression_id: index for index, (impression, _) in enumerate(impressions)
+                }
+
+                def rows(pair_ids: list[str]) -> bytes:
+                    return array("i", map(position.__getitem__, pair_ids)).tobytes()
+
+                for key, (pair_ids, values) in scorer.samples.items():
+                    marshal.dump(("samples", key, rows(pair_ids), values.tobytes()), stream)
+                for key, (pair_ids, reasons) in scorer.skips.items():
+                    marshal.dump(("skips", key, rows(pair_ids), reasons), stream)
+                marshal.dump(None, stream)
+            except BaseException as exc:  # sent to the parent, which raises it
+                marshal.dump(_pickled(exc), stream)
+    finally:
+        os._exit(0)
+
+
+def _pickled(exc: BaseException) -> bytes:
+    import pickle
+
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+    except Exception:
+        payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return payload
+
+
+def _finish_child(pid: int, read_fd: int, ids: Sequence[str], thaw: bool) -> _Scored:
+    """Read the child's column sets, mapping each row back to ``ids``, reap
+    the child, and raise its exception if it sent one."""
+    from array import array
+
+    samples: ColumnSets = {}
+    skips: ColumnSets = {}
+    error = None
+    try:
+        with open(read_fd, "rb") as stream:
+            while (record := marshal.load(stream)) is not None:
+                if isinstance(record, bytes):
+                    error = record
+                    break
+                kind, key, rows, values = record
+                pair_ids = list(map(ids.__getitem__, array("i", rows)))
+                if kind == "samples":
+                    samples[key] = Columns(pair_ids, array("d", values))
+                else:
+                    skips[key] = Columns(pair_ids, values)
+    except EOFError:
+        error = b""  # no result: the child died before sending one
+    finally:
+        _, status = os.waitpid(pid, 0)
+        if thaw:
+            gc.unfreeze()
+    if error == b"":
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the scoring child ended without its result (exit {code})")
+    if error is not None:
+        import pickle
+
+        raise pickle.loads(error)
+    return samples, skips
+
+
 def evaluate_recommendations(
     corpus: Corpus,
     impressions: Sequence[ImpressionLog],
@@ -310,10 +452,17 @@ def evaluate_recommendations(
     """Compute every metric sample for every recommender and grid point.
 
     Rows come back as column sets in ``KEY_COLUMNS`` order (see
-    ``EvaluationResult``).  Fragmentation partners are drawn once per
-    recommender from the seed and reused across the grid, keeping grid
-    points comparable.  An impression id that occurs twice in
-    ``impressions`` or in one source's lists is a ValidationError.
+    ``EvaluationResult``).  Fragmentation partners are drawn from the seed
+    once per distinct set of listed impressions and reused across the grid
+    and the recommenders, keeping grid points comparable.  An impression id
+    that occurs twice in ``impressions`` or in one source's lists is a
+    ValidationError.
+
+    A large run (at least ``_FORK_MIN_WORK`` lists x grid points) on more
+    than one CPU scores the per-impression metrics in a child made with
+    ``os.fork()`` while this process scores fragmentation; the result is
+    the same.  It forks only while this process runs no other thread, and
+    runs inline otherwise.
     """
     if pool not in POOLS:
         raise ValueError(f"unknown pool {pool!r}")
@@ -347,27 +496,41 @@ def evaluate_recommendations(
             listed.add(impression_id)
             lists_by_impression.setdefault(impression_id, []).append((source, recommendation))
 
-    scorer = _Scorer(corpus, metric_config, grid_configs, day_pools, recommendations_by_source)
-    for impression_id in sorted(lists_by_impression):
-        scorer.score_impression(by_impression[impression_id], lists_by_impression[impression_id])
-    samples, skips = scorer.samples, scorer.skips
-    # Free the scorer's caches before the partner draws of fragmentation.
-    del scorer, lists_by_impression
+    finish = _start_scoring(
+        _Scorer(corpus, metric_config, grid_configs, day_pools, recommendations_by_source),
+        [
+            (by_impression[impression_id], lists_by_impression[impression_id])
+            for impression_id in sorted(lists_by_impression)
+        ],
+        len(grid) * sum(map(len, recommendations_by_source.values())),
+    )
+    del lists_by_impression
 
-    # One object per distinct pair id, across sources and grid points.
-    pair_ids = id_table()
-    for source in sorted(recommendations_by_source):
-        _add_fragmentation(
-            samples, skips, corpus, source, recommendations_by_source[source], grid_configs, pair_ids
-        )
-    # Fragmentation pair ids ("u|v") come in draw order.  Each key is sorted
-    # once, after every grid point has added its rows (a grid may repeat a
-    # point).
-    for column_sets in (samples, skips):
-        for key, columns in column_sets.items():
-            if key[0] == "fragmentation":
+    samples: defaultdict[tuple, Columns] = defaultdict(_sample_columns)
+    skips: defaultdict[tuple, Columns] = defaultdict(_skip_columns)
+    try:
+        # One object per distinct pair id, and one partner draw per distinct
+        # list id set, across sources and grid points.
+        pair_ids, draws = id_table(), {}
+        for source in sorted(recommendations_by_source):
+            _add_fragmentation(
+                samples, skips, corpus, source, recommendations_by_source[source], grid_configs,
+                pair_ids, draws,
+            )
+        del pair_ids, draws  # before the child's columns arrive
+        # Fragmentation pair ids ("u|v") come in draw order.  Each key is
+        # sorted once, after every grid point has added its rows (a grid may
+        # repeat a point).
+        for column_sets in (samples, skips):
+            for columns in column_sets.values():
                 columns.sort()
-
+    except BaseException:
+        finish()  # a scoring error comes first, as it does inline
+        raise
+    scored_samples, scored_skips = finish()
+    # Disjoint keys: the scorer's are per-impression metrics only.
+    samples.update(scored_samples)
+    skips.update(scored_skips)
     return EvaluationResult(_in_key_order(samples), _in_key_order(skips))
 
 
@@ -379,17 +542,18 @@ def _add_fragmentation(
     recommendations: Sequence[RecommendationList],
     grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
     pair_ids: Callable[[str], str],
+    draws: dict[tuple, list[tuple[str, str, str]]],
 ) -> None:
     """Append one source's fragmentation samples and skips at every grid
     point to their column sets, in draw order, each pair id as
-    ``pair_ids`` maps it."""
+    ``pair_ids`` maps it; partner draws are kept in ``draws``."""
     ranked_articles = {
         recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]
         for recommendation in recommendations
     }
     chains: dict[RankWeighting, dict[str, _Built]] = {}
     for point, config in grid_configs:
-        outcome = sample_fragmentation(ranked_articles, config, chains)
+        outcome = sample_fragmentation(ranked_articles, config, chains, draws)
         key = _config_key("fragmentation", source, point)
         for pair_id, value in outcome.samples:
             samples[key].add(pair_ids(pair_id), value)

@@ -269,6 +269,7 @@ def sample_fragmentation(
     recommendations: Mapping[str, Sequence[Article]],
     config: MetricConfig,
     built: dict[RankWeighting, dict[str, DiscreteDistribution | str]] | None = None,
+    draws: dict[tuple, list[tuple[str, str, str]]] | None = None,
 ) -> FragmentationSamples:
     """Fragmentation over seeded partner pairs of recommendation lists.
 
@@ -279,7 +280,11 @@ def sample_fragmentation(
     Each list's chain distribution (or the reason it could not be built) is
     built once, however often it is drawn.  Given ``built``, it is kept there
     under ``config.weighting`` and reused by later calls over the same lists,
-    such as grid points that differ only in the divergence.
+    such as grid points that differ only in the divergence.  Given
+    ``draws``, the partner draw and its sample ids are kept there under the
+    sorted list ids, ``config.fragmentation_pairs`` and ``config.seed``, and
+    reused by later calls over the same list ids, such as other grid points
+    and other recommenders of the same impressions.
     """
     result = FragmentationSamples()
     if len(recommendations) < 2:
@@ -293,10 +298,17 @@ def sample_fragmentation(
             chains[list_id] = build_distribution(articles, chain_keys, config.weighting)
         except EmptyDistributionError as exc:
             chains[list_id] = str(exc)
-    for current, partner in fragmentation_partners(
-        list(recommendations), config.fragmentation_pairs, config.seed
-    ):
-        pair_id = f"{current}|{partner}"
+    ids = tuple(sorted(recommendations))
+    draw_key = (ids, config.fragmentation_pairs, config.seed)
+    drawn = None if draws is None else draws.get(draw_key)
+    if drawn is None:
+        drawn = [
+            (current, partner, f"{current}|{partner}")
+            for current, partner in fragmentation_partners(ids, config.fragmentation_pairs, config.seed)
+        ]
+        if draws is not None:
+            draws[draw_key] = drawn
+    for current, partner, pair_id in drawn:
         value = _sample(chains[current], chains[partner], config, symmetrize_kl=True)
         if isinstance(value, str):
             result.skips.append((pair_id, value))

@@ -4,6 +4,7 @@ tests.  All generation is seeded, so every session sees identical files."""
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 
@@ -17,6 +18,18 @@ NEUTRAL_WORDS = [
     "harbor", "garden", "season", "record", "market", "stadium", "museum",
 ]
 ACTOR_ALIASES = ["ann kovac", "raul ortiz", "mei tanaka", "unity party", "reform bloc"]
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, exited or running,
+    as the ResourceWarning filter fails one that leaves a file open."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid else "the test left a child process running")
 
 
 @pytest.fixture(scope="session")

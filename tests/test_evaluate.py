@@ -1,4 +1,7 @@
+import gc
 import math
+import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +21,9 @@ from newsdiv.corpus import (
 from newsdiv.distrib import Binning
 from newsdiv.enrich import enrich_corpus, load_gazetteer, load_lexicon
 from newsdiv.errors import EmptyDistributionError, UnsmoothedZeroError, ValidationError
+from newsdiv import evaluate as evaluate_module
 from newsdiv.evaluate import (
+    POOLS,
     GridPoint,
     KeyedRow,
     SampleRow,
@@ -211,6 +216,30 @@ class TestEvaluateRecommendations:
         assert len(builds) == 40
         assert len(set(builds)) == 2
 
+    def test_partners_drawn_once_per_list_id_set(self, world, monkeypatch):
+        corpus, impressions = world
+        impressions = impressions[:10]
+        recommendations = {
+            source: [recommend_random(impression, seed=seed) for impression in impressions]
+            for source, seed in (("a", 1), ("b", 2), ("c", 3))
+        }
+        config = MetricConfig(seed=1, fragmentation_pairs=2)
+        grid = build_grid(["js"], ["mrr"], [5, 0])
+        draws = []
+        draw = metrics.fragmentation_partners
+
+        def counting(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(metrics, "fragmentation_partners", counting)
+        expected = reference_evaluation(corpus, impressions, recommendations, config, grid, "impression")
+        result = evaluate_recommendations(corpus, impressions, recommendations, config, grid)
+        # 3 sources x 2 points over the same 10 lists
+        assert len(draws) == 1
+        assert result.samples == expected[0]
+        assert result.skips == expected[1]
+
     def test_daily_pool_changes_supply_metrics_only(self, world):
         corpus, impressions = world
         recommendations = {
@@ -388,6 +417,136 @@ class TestAgainstReference:
         )
         pool = draw(st.sampled_from(["impression", "daily"]))
         assert_matches_reference(corpus, impressions, recommendations, config, grid, pool)
+
+
+def column_bytes(result):
+    """A result's keys, pair ids and values, with each sample value as its
+    bytes, so that two results compare bit for bit."""
+    return [
+        (key, columns.pair_ids, columns.values.tobytes() if kind == "samples" else columns.values)
+        for kind, column_sets in (("samples", result.sample_columns), ("skips", result.skip_columns))
+        for key, columns in column_sets.items()
+    ]
+
+
+class TestForkedScoring:
+    """Per-impression scoring in a forked child, with the size gate forced
+    open, gives the inline result and leaves nothing behind."""
+
+    GRID = build_grid(["kl", "js"], ["none", "mrr"], [10, 0])
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Open the size gate; the pids of the forks made meanwhile."""
+        if not evaluate_module._forks(sys.maxsize):
+            pytest.skip("scoring never forks here: one CPU, no os.fork or other threads")
+        monkeypatch.setattr(evaluate_module, "_FORK_MIN_WORK", 0)
+        pids = []
+        fork = os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    @staticmethod
+    def recommendations(corpus, impressions):
+        return {
+            "random": [recommend_random(impression, seed=3) for impression in impressions[:50]],
+            "external:oracle": [history_matched_oracle(corpus, impression) for impression in impressions[:20]],
+        }
+
+    @staticmethod
+    def inline(monkeypatch):
+        monkeypatch.setattr(evaluate_module, "_FORK_MIN_WORK", sys.maxsize)
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_same_result_as_inline(self, world, forks, monkeypatch, pool):
+        corpus, impressions = world
+        recommendations = self.recommendations(corpus, impressions)
+        config = MetricConfig(seed=3)
+        forked = evaluate_recommendations(corpus, impressions, recommendations, config, self.GRID, pool=pool)
+        assert len(forks) == 1
+        self.inline(monkeypatch)
+        inline = evaluate_recommendations(corpus, impressions, recommendations, config, self.GRID, pool=pool)
+        assert len(forks) == 1
+        assert column_bytes(forked) == column_bytes(inline)
+        assert forked.sample_count > 0 and forked.skip_count > 0
+
+    def test_rows_hold_the_parents_impression_ids(self, world, forks):
+        corpus, impressions = world
+        result = evaluate_recommendations(
+            corpus, impressions, self.recommendations(corpus, impressions), MetricConfig(seed=3), self.GRID
+        )
+        assert len(forks) == 1
+        own = {id(impression.impression_id) for impression in impressions}
+        pair_ids = [
+            pair_id
+            for column_sets in (result.sample_columns, result.skip_columns)
+            for key, columns in column_sets.items()
+            if key[0] != "fragmentation"
+            for pair_id in columns.pair_ids
+        ]
+        assert pair_ids
+        assert all(id(pair_id) in own for pair_id in pair_ids)
+
+    def test_child_is_reaped_and_heap_thawed(self, world, forks):
+        corpus, impressions = world
+        evaluate_recommendations(
+            corpus, impressions, self.recommendations(corpus, impressions), MetricConfig(seed=3), self.GRID
+        )
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        assert gc.get_freeze_count() == 0
+
+    def test_child_exception_is_raised_with_its_message(self, world, forks, monkeypatch):
+        corpus, impressions = world
+        recommendations = self.recommendations(corpus, impressions)
+        config = MetricConfig(seed=3, alpha=0.0)
+        with pytest.raises(UnsmoothedZeroError) as forked:
+            evaluate_recommendations(corpus, impressions, recommendations, config, self.GRID)
+        assert len(forks) == 1
+        self.inline(monkeypatch)
+        with pytest.raises(UnsmoothedZeroError) as inline:
+            evaluate_recommendations(corpus, impressions, recommendations, config, self.GRID)
+        assert str(forked.value) == str(inline.value)
+
+    def test_cli_internal_error_unchanged(self, synthetic_world, forks, monkeypatch, capsys, tmp_path):
+        args = [
+            "evaluate",
+            *(arg for role in ("news", "bodies", "behaviors") for arg in (f"--{role}", str(synthetic_world[role]))),
+            "--divergence", "kl", "--alpha", "0", "--cutoffs", "0",
+        ]
+        assert main([*args, "--out", str(tmp_path / "forked")]) == 2
+        forked = capsys.readouterr().err
+        assert len(forks) == 1
+        self.inline(monkeypatch)
+        assert main([*args, "--out", str(tmp_path / "inline")]) == 2
+        assert capsys.readouterr().err == forked
+        assert forked.startswith("internal error: UnsmoothedZeroError: ")
+
+    def test_fork_failure_falls_back_to_inline(self, world, forks, monkeypatch):
+        corpus, impressions = world
+        recommendations = self.recommendations(corpus, impressions)
+        attempts = []
+
+        def failing():
+            attempts.append(1)
+            raise OSError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        fallback = evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=3), self.GRID)
+        assert attempts == [1]
+        assert gc.get_freeze_count() == 0
+        self.inline(monkeypatch)
+        inline = evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=3), self.GRID)
+        assert attempts == [1]
+        assert column_bytes(fallback) == column_bytes(inline)
 
 
 class TestDuplicateImpressions:
