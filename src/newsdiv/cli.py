@@ -221,8 +221,6 @@ def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)

@@ -3,7 +3,6 @@ grid, with skips recorded instead of silently biasing the means."""
 from __future__ import annotations
 
 import gc
-import marshal
 import os
 import threading
 from collections import defaultdict
@@ -89,15 +88,6 @@ class Columns(NamedTuple):
     def add(self, pair_id: str, value: float | str) -> None:
         self.pair_ids.append(pair_id)
         self.values.append(value)
-
-    def sort(self) -> None:
-        """Order the rows by pair id, keeping the order of equal ids."""
-        pair_ids, values = self.pair_ids, self.values
-        order = sorted(range(len(pair_ids)), key=pair_ids.__getitem__)
-        pair_ids[:] = [pair_ids[index] for index in order]
-        unsorted = values[:]
-        del values[:]
-        values.extend(unsorted[index] for index in order)
 
 
 # Column sets by their CONFIG_COLUMNS value.
@@ -345,8 +335,8 @@ def _start_scoring(
                 os.close(read_fd)
                 _score_in_child(scorer, impressions, write_fd)
             os.close(write_fd)
-            ids = [impression.impression_id for impression, _ in impressions]
-            return partial(_finish_child, pid, read_fd, ids, thaw)
+            own_ids = {impression.impression_id: impression.impression_id for impression, _ in impressions}
+            return partial(_finish_child, pid, read_fd, own_ids, thaw)
     for impression, entries in impressions:
         scorer.score_impression(impression, entries)
     scored = scorer.samples, scorer.skips
@@ -364,81 +354,50 @@ def _forks(work: int) -> bool:
 
 
 def _score_in_child(scorer: _Scorer, impressions: Sequence, write_fd: int) -> NoReturn:
-    """The forked child: score, send the column sets to the parent through
-    ``write_fd``, one marshal record per configuration, and exit.  A record
-    holds the rows as positions in ``impressions`` (an ``array('i')``) and
-    the sample values as bytes or the skip reasons as a list.  An exception
-    is sent as pickled bytes, for the parent to raise."""
-    from array import array
+    """The forked child: score, pickle the column sets (or the exception,
+    for the parent to raise) to the parent through ``write_fd``, and exit."""
+    import pickle
 
     try:
         with open(write_fd, "wb") as stream:
             try:
                 for impression, entries in impressions:
                     scorer.score_impression(impression, entries)
-                position = {
-                    impression.impression_id: index for index, (impression, _) in enumerate(impressions)
-                }
-
-                def rows(pair_ids: list[str]) -> bytes:
-                    return array("i", map(position.__getitem__, pair_ids)).tobytes()
-
-                for key, (pair_ids, values) in scorer.samples.items():
-                    marshal.dump(("samples", key, rows(pair_ids), values.tobytes()), stream)
-                for key, (pair_ids, reasons) in scorer.skips.items():
-                    marshal.dump(("skips", key, rows(pair_ids), reasons), stream)
-                marshal.dump(None, stream)
+                result = scorer.samples, scorer.skips
             except BaseException as exc:  # sent to the parent, which raises it
-                marshal.dump(_pickled(exc), stream)
+                result = exc
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    result = RuntimeError(f"{type(exc).__name__}: {exc}")
+            pickle.dump(result, stream)
     finally:
         os._exit(0)
 
 
-def _pickled(exc: BaseException) -> bytes:
+def _finish_child(pid: int, read_fd: int, own_ids: Mapping[str, str], thaw: bool) -> _Scored:
+    """Read the child's column sets, reap the child, raise its exception if
+    it sent one, and give each row the caller's own id from ``own_ids``."""
     import pickle
 
     try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-    except Exception:
-        payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return payload
-
-
-def _finish_child(pid: int, read_fd: int, ids: Sequence[str], thaw: bool) -> _Scored:
-    """Read the child's column sets, mapping each row back to ``ids``, reap
-    the child, and raise its exception if it sent one."""
-    from array import array
-
-    samples: ColumnSets = {}
-    skips: ColumnSets = {}
-    error = None
-    try:
         with open(read_fd, "rb") as stream:
-            while (record := marshal.load(stream)) is not None:
-                if isinstance(record, bytes):
-                    error = record
-                    break
-                kind, key, rows, values = record
-                pair_ids = list(map(ids.__getitem__, array("i", rows)))
-                if kind == "samples":
-                    samples[key] = Columns(pair_ids, array("d", values))
-                else:
-                    skips[key] = Columns(pair_ids, values)
-    except EOFError:
-        error = b""  # no result: the child died before sending one
+            result = pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError):
+        result = None  # the child died before sending all of its result
     finally:
         _, status = os.waitpid(pid, 0)
         if thaw:
             gc.unfreeze()
-    if error == b"":
+    if result is None:
         code = os.waitstatus_to_exitcode(status)
         raise RuntimeError(f"the scoring child ended without its result (exit {code})")
-    if error is not None:
-        import pickle
-
-        raise pickle.loads(error)
-    return samples, skips
+    if isinstance(result, BaseException):
+        raise result
+    for column_sets in result:
+        for pair_ids, _ in column_sets.values():
+            pair_ids[:] = map(own_ids.__getitem__, pair_ids)
+    return result
 
 
 def evaluate_recommendations(
@@ -456,7 +415,8 @@ def evaluate_recommendations(
     once per distinct set of listed impressions and reused across the grid
     and the recommenders, keeping grid points comparable.  An impression id
     that occurs twice in ``impressions`` or in one source's lists is a
-    ValidationError.
+    ValidationError; an empty grid, or one that repeats a point (whose
+    samples would count twice), is a ValueError.
 
     A large run (at least ``_FORK_MIN_WORK`` lists x grid points) on more
     than one CPU scores the per-impression metrics in a child made with
@@ -466,6 +426,10 @@ def evaluate_recommendations(
     """
     if pool not in POOLS:
         raise ValueError(f"unknown pool {pool!r}")
+    if not grid:
+        raise ValueError("grid must be a non-empty list of points")
+    if len(set(grid)) < len(grid):
+        raise ValueError("grid repeats a point")
     by_impression: dict[str, ImpressionLog] = {}
     for impression in impressions:
         if impression.impression_id in by_impression:
@@ -518,12 +482,6 @@ def evaluate_recommendations(
                 pair_ids, draws,
             )
         del pair_ids, draws  # before the child's columns arrive
-        # Fragmentation pair ids ("u|v") come in draw order.  Each key is
-        # sorted once, after every grid point has added its rows (a grid may
-        # repeat a point).
-        for column_sets in (samples, skips):
-            for columns in column_sets.values():
-                columns.sort()
     except BaseException:
         finish()  # a scoring error comes first, as it does inline
         raise
@@ -545,7 +503,7 @@ def _add_fragmentation(
     draws: dict[tuple, list[tuple[str, str, str]]],
 ) -> None:
     """Append one source's fragmentation samples and skips at every grid
-    point to their column sets, in draw order, each pair id as
+    point to their column sets, in pair id order, each pair id as
     ``pair_ids`` maps it; partner draws are kept in ``draws``."""
     ranked_articles = {
         recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]

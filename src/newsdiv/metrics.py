@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Article
@@ -275,14 +276,15 @@ def sample_fragmentation(
 
     ``recommendations`` maps a list id (impression id) to its ranked
     articles.  Fewer than two lists yields no samples, only a skip entry.
-    Sample ids are "u|v" for the ordered draw (u, v).
+    Sample ids are "u|v" for the ordered draw (u, v).  The samples and the
+    skips each come in pair id order, the string order of their ids.
 
     Each list's chain distribution (or the reason it could not be built) is
     built once, however often it is drawn.  Given ``built``, it is kept there
     under ``config.weighting`` and reused by later calls over the same lists,
     such as grid points that differ only in the divergence.  Given
-    ``draws``, the partner draw and its sample ids are kept there under the
-    sorted list ids, ``config.fragmentation_pairs`` and ``config.seed``, and
+    ``draws``, the partner draw and its sample ids, in that order, are kept
+    there under the sorted list ids, ``config.fragmentation_pairs`` and ``config.seed``, and
     reused by later calls over the same list ids, such as other grid points
     and other recommenders of the same impressions.
     """
@@ -302,10 +304,13 @@ def sample_fragmentation(
     draw_key = (ids, config.fragmentation_pairs, config.seed)
     drawn = None if draws is None else draws.get(draw_key)
     if drawn is None:
-        drawn = [
-            (current, partner, f"{current}|{partner}")
-            for current, partner in fragmentation_partners(ids, config.fragmentation_pairs, config.seed)
-        ]
+        drawn = sorted(
+            (
+                (current, partner, f"{current}|{partner}")
+                for current, partner in fragmentation_partners(ids, config.fragmentation_pairs, config.seed)
+            ),
+            key=itemgetter(2),
+        )
         if draws is not None:
             draws[draw_key] = drawn
     for current, partner, pair_id in drawn:

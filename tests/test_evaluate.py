@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -351,15 +352,20 @@ class TestAgainstReference:
         assert_matches_reference(corpus, impressions, recommendations, config, FULL_GRID, pool)
 
     def test_repeated_grid_point(self, world):
+        """A repeated point would count its samples twice."""
         corpus, impressions = world
         impressions = impressions[:12]
-        recommendations = {
-            "random": [recommend_random(impression, seed=5) for impression in impressions],
-            "external:oracle": [history_matched_oracle(corpus, impression) for impression in impressions],
-        }
-        config = MetricConfig(seed=5, fragmentation_pairs=3)
+        recommendations = {"random": [recommend_random(impression, seed=5) for impression in impressions]}
         grid = [GridPoint("js", "mrr", 0)] * 2
-        assert_matches_reference(corpus, impressions, recommendations, config, grid, "impression")
+        with pytest.raises(ValueError, match="grid repeats a point"):
+            evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=5), grid)
+
+    def test_empty_grid(self, world):
+        corpus, impressions = world
+        impressions = impressions[:12]
+        recommendations = {"random": [recommend_random(impression, seed=5) for impression in impressions]}
+        with pytest.raises(ValueError, match="grid must be a non-empty list"):
+            evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=5), [])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -407,7 +413,7 @@ class TestAgainstReference:
                 )
                 for impression in listed
             ]
-        grid = draw(st.lists(st.sampled_from(FULL_GRID), min_size=1, max_size=6))
+        grid = draw(st.lists(st.sampled_from(FULL_GRID), min_size=1, max_size=6, unique=True))
         config = MetricConfig(
             alpha=draw(st.sampled_from([0.0, 0.001, 0.2])),
             activation_bins=Binning("activation", draw(st.integers(2, 5)), 0.0, 1.0),
@@ -547,6 +553,55 @@ class TestForkedScoring:
         inline = evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=3), self.GRID)
         assert attempts == [1]
         assert column_bytes(fallback) == column_bytes(inline)
+
+    def test_child_exit_without_result(self, world, forks, monkeypatch):
+        parent = os.getpid()
+
+        def exit_in_child(*args):
+            assert os.getpid() != parent
+            os._exit(3)
+
+        monkeypatch.setattr(evaluate_module._Scorer, "score_impression", exit_in_child)
+        corpus, impressions = world
+        with pytest.raises(RuntimeError, match=r"ended without its result \(exit 3\)"):
+            evaluate_recommendations(
+                corpus, impressions, self.recommendations(corpus, impressions), MetricConfig(seed=3), self.GRID
+            )
+        assert len(forks) == 1
+        assert gc.get_freeze_count() == 0
+
+    def test_unpicklable_child_exception(self, world, forks, monkeypatch):
+        class Local(Exception):
+            pass
+
+        def fail(*args):
+            raise Local("scoring failed")
+
+        monkeypatch.setattr(evaluate_module._Scorer, "score_impression", fail)
+        corpus, impressions = world
+        with pytest.raises(RuntimeError) as raised:
+            evaluate_recommendations(
+                corpus, impressions, self.recommendations(corpus, impressions), MetricConfig(seed=3), self.GRID
+            )
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == "Local: scoring failed"
+        assert len(forks) == 1
+
+    def test_other_thread_scores_inline(self, world, forks, monkeypatch):
+        corpus, impressions = world
+        recommendations = self.recommendations(corpus, impressions)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=3), self.GRID)
+        finally:
+            release.set()
+            other.join()
+        assert forks == []
+        self.inline(monkeypatch)
+        inline = evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=3), self.GRID)
+        assert column_bytes(threaded) == column_bytes(inline)
 
 
 class TestDuplicateImpressions:

@@ -260,6 +260,14 @@ class TestFragmentationSampling:
             left, right = pair_id.split("|")
             assert left != right
 
+    def test_rows_in_pair_id_order(self):
+        """Pair ids sort as strings, so "I10|..." comes before "I1|...",
+        although the partner draw starts with I1, the first list id."""
+        recs = {list_id: [art(list_id, chain_id="shared")] for list_id in ("I1", "I10", "I2")}
+        result = sample_fragmentation(recs, cfg(fragmentation_pairs=2, alpha=0.001))
+        pair_ids = [pair_id for pair_id, _ in result.samples]
+        assert pair_ids == ["I10|I1", "I10|I2", "I1|I10", "I1|I2", "I2|I1", "I2|I10"]
+
     def test_same_seed_same_samples(self):
         recs = self.make_recs(5)
         config = cfg(fragmentation_pairs=2, alpha=0.001)
