@@ -109,17 +109,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Flags over the config file over the defaults; ``--external N=P`` sets ``external.N``."""
+    """Flags over the config file over the defaults; ``--external N=P`` sets
+    ``external.N``.  A flag may override a file key, but not repeat itself."""
     options = load_config_file(args.config) if args.config else {}
     options.update(
         {key: value for key in OPTION_KEYS if (value := getattr(args, key, None)) is not None}
     )
+    externals: set[str] = set()
     for item in getattr(args, "externals", None) or ():
         name, separator, path = (part.strip() for part in item.partition("="))
         if not separator or not name:
             raise InputError(f"--external expects name=path, got {item!r}")
         if not path:
             raise InputError(f"--external {name}= has an empty path")
+        if name in externals:
+            raise InputError(f"--external {name!r} is given twice")
+        externals.add(name)
         options[f"external.{name}"] = path
     return RunConfig.from_options(options)
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import read_lines
+from .corpus import check_unique, read_lines
 from .distrib import SCHEMES
 from .divergence import KINDS
 from .enrich import DEFAULT_TAU, DEFAULT_WINDOW_SECONDS, check_chaining
 from .errors import InputError
-from .evaluate import POOLS, build_grid
+from .evaluate import POOLS, build_grid, check_distinct
 from .metrics import MetricConfig
 from .recommenders import BASELINES
 
@@ -57,13 +57,14 @@ _LINE = re.compile(r"""([^=#]*?)\s*=\s*("[^"]*"|'[^']*'|[^#]*?)\s*(?:#.*)?""")
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """The ``key = value`` pairs of a config file, as text.  An unknown key,
-    or a value that fails the checks ``RunConfig.from_options`` makes of it
-    alone, is an InputError that names its line."""
+    """The ``key = value`` pairs of a config file, as text.  An unknown or
+    repeated key, or a value that fails the checks ``RunConfig.from_options``
+    makes of it alone, is an InputError that names its line."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"config file not found: {path}")
     values: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     for lineno, line in read_lines(path, comments=True):
         match = _LINE.fullmatch(line)
         if match is None:
@@ -71,6 +72,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         key, value = match.groups()
         if key not in OPTION_KEYS and not (key.startswith("external.") and key != "external."):
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        check_unique(first_lines, key, path, lineno, "key", InputError)
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
         try:
@@ -150,6 +152,7 @@ class RunConfig:
             self.metric_config()
             build_grid([self.divergence], [self.weighting], self.cutoffs)
             build_grid(self.divergences, self.weightings, self.cutoffs)
+            check_distinct("recommenders", self.recommenders)
             check_chaining(self.tau, self.window_seconds)
         except ValueError as exc:
             raise InputError(str(exc)) from None

@@ -140,20 +140,23 @@ class Corpus:
 def parse_time(value: str) -> float:
     """Epoch seconds from an ISO-8601 string or a ``m/d/Y h:M:S AM`` log stamp.
 
-    Naive stamps are taken as UTC.
+    Naive stamps are taken as UTC.  A stamp whose UTC time falls outside
+    years 1-9999 is a ParseError, like one that does not parse.
     """
     text = value.strip()
     iso = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
-        parsed = datetime.fromisoformat(iso)
-    except ValueError:
         try:
-            parsed = datetime.strptime(text, "%m/%d/%Y %I:%M:%S %p")
+            parsed = datetime.fromisoformat(iso)
         except ValueError:
-            raise ParseError(f"unparseable timestamp {value!r}") from None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.timestamp()
+            parsed = datetime.strptime(text, "%m/%d/%Y %I:%M:%S %p")
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        return parsed.astimezone(timezone.utc).timestamp()
+    except ValueError:
+        raise ParseError(f"unparseable timestamp {value!r}") from None
+    except OverflowError:
+        raise ParseError(f"timestamp {value!r} is outside years 1-9999 in UTC") from None
 
 
 def format_time(epoch: float) -> str:

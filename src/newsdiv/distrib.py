@@ -145,7 +145,7 @@ def build_distribution(
     the numerator and the normalizer (a missing field is not evidence of any
     key).  Every key of a multi-key item receives the full item weight times
     its multiplier, and the normalizer is the total over keys, so masses
-    always sum to one.
+    always sum to one.  Without any key, it is an EmptyDistributionError.
     """
     ranked = items if weighting.cutoff is None else items[: weighting.cutoff]
     weights: dict[str, list[float]] = {}
@@ -156,11 +156,8 @@ def build_distribution(
             if multiplier == 0.0:
                 continue
             weights.setdefault(key, []).append(item_weight * multiplier)
-    if not weights:
-        raise EmptyDistributionError("empty distribution")
     sums = {key: math.fsum(parts) for key, parts in sorted(weights.items())}
-    total = math.fsum(sums.values())
-    return DiscreteDistribution({key: value / total for key, value in sums.items()})
+    return DiscreteDistribution.from_weights(sums)
 
 
 def history_distribution(

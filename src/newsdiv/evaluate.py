@@ -10,17 +10,20 @@ from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Callable, Mapping, MutableSequence, NamedTuple, NoReturn, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
-from .corpus import Corpus, ImpressionLog, RecommendationList, id_table
+from .corpus import Corpus, ImpressionLog, RecommendationList
 from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribution
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
     HISTORY_METRICS,
+    Columns,
     MetricConfig,
+    Rows,
     _sample,
     context_builder,
     metric_keys,
+    new_rows,
     sample_fragmentation,
 )
 
@@ -77,19 +80,6 @@ class SkipRow(KeyedRow):
     reason: str
 
 
-class Columns(NamedTuple):
-    """The rows of one configuration (one ``CONFIG_COLUMNS`` value): their
-    pair ids and, aligned with them, the sample values (an ``array('d')``)
-    or the skip reasons (a list)."""
-
-    pair_ids: list[str]
-    values: MutableSequence[float] | list[str]
-
-    def add(self, pair_id: str, value: float | str) -> None:
-        self.pair_ids.append(pair_id)
-        self.values.append(value)
-
-
 # Column sets by their CONFIG_COLUMNS value.
 ColumnSets = dict[tuple, Columns]
 
@@ -131,22 +121,6 @@ def _rows(row_type: type, column_sets: ColumnSets) -> list:
     ]
 
 
-def _sample_columns() -> Columns:
-    # Imported on first use: the array extension would add about 0.14 MB of
-    # RSS to the commands that import this module but score nothing.
-    from array import array
-
-    return Columns([], array("d"))
-
-
-def _skip_columns() -> Columns:
-    return Columns([], [])
-
-
-def _in_key_order(column_sets: Mapping[tuple, Columns]) -> ColumnSets:
-    return {key: column_sets[key] for key in sorted(column_sets)}
-
-
 def build_grid(
     divergences: Sequence[str],
     weightings: Sequence[str],
@@ -155,8 +129,7 @@ def build_grid(
     for name, values in (("divergences", divergences), ("weightings", weightings), ("cutoffs", cutoffs)):
         if not values:
             raise ValueError(f"{name} must be a non-empty list")
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} list has duplicates: {', '.join(map(str, values))}")
+        check_distinct(name, values)
     if min(cutoffs) < 0:
         raise ValueError("cutoffs must be a non-empty list of values >= 0 (0 means no cutoff)")
     return [
@@ -165,6 +138,12 @@ def build_grid(
         for weighting in weightings
         for cutoff in cutoffs
     ]
+
+
+def check_distinct(name: str, values: Sequence) -> None:
+    """A ValueError if the list of ``name`` repeats a value."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} list has duplicates: {', '.join(map(str, values))}")
 
 
 def daily_pools(impressions: Sequence[ImpressionLog]) -> dict[str, tuple[str, ...]]:
@@ -231,8 +210,7 @@ class _Scorer:
         }
         self.day_pools = day_pools
         self.day_contexts: dict[str, dict[tuple[int, RankWeighting], _Built]] = {}
-        self.samples: defaultdict[tuple, Columns] = defaultdict(_sample_columns)
-        self.skips: defaultdict[tuple, Columns] = defaultdict(_skip_columns)
+        self.rows: defaultdict[tuple, Rows] = defaultdict(new_rows)
 
     def _built(
         self,
@@ -258,9 +236,9 @@ class _Scorer:
     def score_impression(
         self, impression: ImpressionLog, entries: Sequence[tuple[str, RecommendationList]]
     ) -> None:
-        """Append the impression's samples and skips to their column sets;
-        called in impression id order, so that each column set stays in
-        pair id order."""
+        """Add the impression's samples and skips to their configurations'
+        rows; called in impression id order, so that the rows stay in pair
+        id order."""
         if self.day_pools:
             day = _impression_day(impression)
             pool = self.day_pools[day]
@@ -287,15 +265,8 @@ class _Scorer:
                         metric,
                         config.weighting,
                     )
-                    value = _sample(context, recommended, config)
-                    if isinstance(value, str):
-                        self.skips[key].add(impression.impression_id, value)
-                    else:
-                        self.samples[key].add(impression.impression_id, value)
+                    self.rows[key].add(impression.impression_id, _sample(context, recommended, config))
 
-
-# Scored column sets: samples, then skips.
-_Scored = tuple[ColumnSets, ColumnSets]
 
 # Lists x grid points from which per-impression scoring runs in a forked
 # child.  Measured on 2 vCPU with js/mrr/@N lists of the benchmark's `log`
@@ -308,9 +279,9 @@ def _start_scoring(
     scorer: _Scorer,
     impressions: Sequence[tuple[ImpressionLog, Sequence[tuple[str, RecommendationList]]]],
     work: int,
-) -> Callable[[], _Scored]:
+) -> Callable[[], dict[tuple, Rows]]:
     """Score ``impressions`` (each with its lists, in impression id order)
-    and return a function that returns the scorer's column sets.
+    and return a function that returns the scorer's rows.
 
     With at least ``_FORK_MIN_WORK`` lists x grid points, more than one CPU
     and no other thread, the scoring runs in a child made with
@@ -339,7 +310,7 @@ def _start_scoring(
             return partial(_finish_child, pid, read_fd, own_ids, thaw)
     for impression, entries in impressions:
         scorer.score_impression(impression, entries)
-    scored = scorer.samples, scorer.skips
+    scored = scorer.rows
     return lambda: scored
 
 
@@ -354,8 +325,8 @@ def _forks(work: int) -> bool:
 
 
 def _score_in_child(scorer: _Scorer, impressions: Sequence, write_fd: int) -> NoReturn:
-    """The forked child: score, pickle the column sets (or the exception,
-    for the parent to raise) to the parent through ``write_fd``, and exit."""
+    """The forked child: score, pickle the rows (or the exception, for the
+    parent to raise) to the parent through ``write_fd``, and exit."""
     import pickle
 
     try:
@@ -363,7 +334,7 @@ def _score_in_child(scorer: _Scorer, impressions: Sequence, write_fd: int) -> No
             try:
                 for impression, entries in impressions:
                     scorer.score_impression(impression, entries)
-                result = scorer.samples, scorer.skips
+                result = scorer.rows
             except BaseException as exc:  # sent to the parent, which raises it
                 result = exc
                 try:
@@ -375,9 +346,9 @@ def _score_in_child(scorer: _Scorer, impressions: Sequence, write_fd: int) -> No
         os._exit(0)
 
 
-def _finish_child(pid: int, read_fd: int, own_ids: Mapping[str, str], thaw: bool) -> _Scored:
-    """Read the child's column sets, reap the child, raise its exception if
-    it sent one, and give each row the caller's own id from ``own_ids``."""
+def _finish_child(pid: int, read_fd: int, own_ids: Mapping[str, str], thaw: bool) -> dict[tuple, Rows]:
+    """Read the child's rows, reap the child, raise its exception if it sent
+    one, and give each row the caller's own id from ``own_ids``."""
     import pickle
 
     try:
@@ -394,8 +365,8 @@ def _finish_child(pid: int, read_fd: int, own_ids: Mapping[str, str], thaw: bool
         raise RuntimeError(f"the scoring child ended without its result (exit {code})")
     if isinstance(result, BaseException):
         raise result
-    for column_sets in result:
-        for pair_ids, _ in column_sets.values():
+    for rows in result.values():
+        for pair_ids, _ in rows:
             pair_ids[:] = map(own_ids.__getitem__, pair_ids)
     return result
 
@@ -411,7 +382,8 @@ def evaluate_recommendations(
     """Compute every metric sample for every recommender and grid point.
 
     Rows come back as column sets in ``KEY_COLUMNS`` order (see
-    ``EvaluationResult``).  Fragmentation partners are drawn from the seed
+    ``EvaluationResult``), fragmentation's as ``sample_fragmentation``
+    returned them.  Fragmentation partners are drawn from the seed
     once per distinct set of listed impressions and reused across the grid
     and the recommenders, keeping grid points comparable.  An impression id
     that occurs twice in ``impressions`` or in one source's lists is a
@@ -470,51 +442,29 @@ def evaluate_recommendations(
     )
     del lists_by_impression
 
-    samples: defaultdict[tuple, Columns] = defaultdict(_sample_columns)
-    skips: defaultdict[tuple, Columns] = defaultdict(_skip_columns)
+    rows: dict[tuple, Rows] = {}
     try:
-        # One object per distinct pair id, and one partner draw per distinct
-        # list id set, across sources and grid points.
-        pair_ids, draws = id_table(), {}
+        # One partner draw per distinct list id set, across sources and grid
+        # points; one chain distribution per list and weighting of a source.
+        draws = {}
         for source in sorted(recommendations_by_source):
-            _add_fragmentation(
-                samples, skips, corpus, source, recommendations_by_source[source], grid_configs,
-                pair_ids, draws,
-            )
-        del pair_ids, draws  # before the child's columns arrive
+            ranked_articles = {
+                recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]
+                for recommendation in recommendations_by_source[source]
+            }
+            chains: dict[RankWeighting, dict[str, _Built]] = {}
+            for point, config in grid_configs:
+                rows[_config_key("fragmentation", source, point)] = sample_fragmentation(
+                    ranked_articles, config, chains, draws
+                )
+            del ranked_articles, chains  # before the next source's
+        del draws  # before the child's rows arrive
     except BaseException:
         finish()  # a scoring error comes first, as it does inline
         raise
-    scored_samples, scored_skips = finish()
-    # Disjoint keys: the scorer's are per-impression metrics only.
-    samples.update(scored_samples)
-    skips.update(scored_skips)
-    return EvaluationResult(_in_key_order(samples), _in_key_order(skips))
-
-
-def _add_fragmentation(
-    samples: defaultdict[tuple, Columns],
-    skips: defaultdict[tuple, Columns],
-    corpus: Corpus,
-    source: str,
-    recommendations: Sequence[RecommendationList],
-    grid_configs: Sequence[tuple[GridPoint, MetricConfig]],
-    pair_ids: Callable[[str], str],
-    draws: dict[tuple, list[tuple[str, str, str]]],
-) -> None:
-    """Append one source's fragmentation samples and skips at every grid
-    point to their column sets, in pair id order, each pair id as
-    ``pair_ids`` maps it; partner draws are kept in ``draws``."""
-    ranked_articles = {
-        recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]
-        for recommendation in recommendations
-    }
-    chains: dict[RankWeighting, dict[str, _Built]] = {}
-    for point, config in grid_configs:
-        outcome = sample_fragmentation(ranked_articles, config, chains, draws)
-        key = _config_key("fragmentation", source, point)
-        for pair_id, value in outcome.samples:
-            samples[key].add(pair_ids(pair_id), value)
-        for pair_id, reason in outcome.skips:
-            skips[key].add(pair_ids(pair_id), reason)
-        del outcome  # before the next point's draw
+    rows.update(finish())  # disjoint keys: the scorer's are per-impression metrics
+    ordered = sorted(rows.items(), key=itemgetter(0))
+    return EvaluationResult(
+        {key: both.samples for key, both in ordered if both.samples.pair_ids},
+        {key: both.skips for key, both in ordered if both.skips.pair_ids},
+    )

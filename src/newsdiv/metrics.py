@@ -17,9 +17,9 @@ never truncated by it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, MutableSequence, NamedTuple, Sequence
 
 from .corpus import Article
 from .distrib import (
@@ -260,10 +260,34 @@ def fragmentation_partners(ids: Sequence[str], pairs: int, seed: int) -> list[tu
     return drawn
 
 
-@dataclass
-class FragmentationSamples:
-    samples: list[tuple[str, float]] = field(default_factory=list)
-    skips: list[tuple[str, str]] = field(default_factory=list)
+class Columns(NamedTuple):
+    """The samples or the skips of one configuration: their pair ids and,
+    aligned with them, the values (an ``array('d')``) or the reasons (a list)."""
+
+    pair_ids: list[str]
+    values: MutableSequence[float] | list[str]
+
+
+class Rows(NamedTuple):
+    """The samples and the skips of one configuration, each in the order
+    they were added."""
+
+    samples: Columns
+    skips: Columns
+
+    def add(self, pair_id: str, value: float | str) -> None:
+        """Add a sample, or a skip if ``value`` is its reason."""
+        columns = self.skips if isinstance(value, str) else self.samples
+        columns.pair_ids.append(pair_id)
+        columns.values.append(value)
+
+
+def new_rows() -> Rows:
+    # Imported on first use: the array extension would add about 0.14 MB of
+    # RSS to the commands that score nothing.
+    from array import array
+
+    return Rows(Columns([], array("d")), Columns([], []))
 
 
 def sample_fragmentation(
@@ -271,13 +295,14 @@ def sample_fragmentation(
     config: MetricConfig,
     built: dict[RankWeighting, dict[str, DiscreteDistribution | str]] | None = None,
     draws: dict[tuple, list[tuple[str, str, str]]] | None = None,
-) -> FragmentationSamples:
+) -> Rows:
     """Fragmentation over seeded partner pairs of recommendation lists.
 
     ``recommendations`` maps a list id (impression id) to its ranked
     articles.  Fewer than two lists yields no samples, only a skip entry.
-    Sample ids are "u|v" for the ordered draw (u, v).  The samples and the
-    skips each come in pair id order, the string order of their ids.
+    Pair ids are "u|v" for the ordered draw (u, v).  The returned rows hold
+    the samples and the skips each in pair id order, the string order of
+    their ids.
 
     Each list's chain distribution (or the reason it could not be built) is
     built once, however often it is drawn.  Given ``built``, it is kept there
@@ -286,12 +311,13 @@ def sample_fragmentation(
     ``draws``, the partner draw and its sample ids, in that order, are kept
     there under the sorted list ids, ``config.fragmentation_pairs`` and ``config.seed``, and
     reused by later calls over the same list ids, such as other grid points
-    and other recommenders of the same impressions.
+    and other recommenders of the same impressions, whose rows then share
+    the draw's pair id objects.
     """
-    result = FragmentationSamples()
+    rows = new_rows()
     if len(recommendations) < 2:
-        result.skips.append(("", "fewer than 2 recommendation lists"))
-        return result
+        rows.add("", "fewer than 2 recommendation lists")
+        return rows
     chains = {} if built is None else built.setdefault(config.weighting, {})
     for list_id, articles in recommendations.items():
         if list_id in chains:
@@ -304,22 +330,13 @@ def sample_fragmentation(
     draw_key = (ids, config.fragmentation_pairs, config.seed)
     drawn = None if draws is None else draws.get(draw_key)
     if drawn is None:
-        drawn = sorted(
-            (
-                (current, partner, f"{current}|{partner}")
-                for current, partner in fragmentation_partners(ids, config.fragmentation_pairs, config.seed)
-            ),
-            key=itemgetter(2),
-        )
+        partners = fragmentation_partners(ids, config.fragmentation_pairs, config.seed)
+        drawn = sorted(((u, v, f"{u}|{v}") for u, v in partners), key=itemgetter(2))
         if draws is not None:
             draws[draw_key] = drawn
     for current, partner, pair_id in drawn:
-        value = _sample(chains[current], chains[partner], config, symmetrize_kl=True)
-        if isinstance(value, str):
-            result.skips.append((pair_id, value))
-        else:
-            result.samples.append((pair_id, value))
-    return result
+        rows.add(pair_id, _sample(chains[current], chains[partner], config, symmetrize_kl=True))
+    return rows
 
 
 @dataclass(frozen=True)

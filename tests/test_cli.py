@@ -676,6 +676,18 @@ class TestErrorPaths:
         assert f"error: {behaviors}:4: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-05:00"])
+    def test_stamp_outside_the_utc_years_is_input_error(self, fixture_paths, tmp_path, capsys, stamp):
+        behaviors = tmp_path / "behaviors.tsv"
+        lines = fixture_paths["behaviors"].read_text(encoding="utf-8").splitlines()
+        behaviors.write_text("\n".join([*lines, f"I4\tU4\t{stamp}\t\tN1-1 N2-0"]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = base_args(fixture_paths, out, "--behaviors", str(behaviors), "--pool", "daily")
+        assert main(["evaluate", *args]) == 1
+        message = f"error: {behaviors}:4: timestamp {stamp!r} is outside years 1-9999 in UTC"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_python_dash_m_runs_the_cli(self):
         source = Path(newsdiv.__file__).resolve().parent.parent
         result = subprocess.run(
@@ -743,6 +755,33 @@ class TestOptionsCheckedByTheLibrary:
         out_dir = tmp_path / "out"
         assert main([command, *base_args(fixture_paths, out_dir), *flags]) == 1
         assert "list has duplicates" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+class TestRepeatedOptions:
+    def test_config_key_set_twice_names_both_lines(self, fixture_paths, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("seed = 1\n\nseed = 2\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["evaluate", *base_args(fixture_paths, out_dir), "--config", str(config_path)]) == 1
+        assert f"error: {config_path}:3: duplicate key 'seed' (first on line 1)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_external_flag_given_twice_is_input_error(self, fixture_paths, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        missing = tmp_path / "missing.jsonl"
+        args = base_args(fixture_paths, out_dir, "--cutoffs", "0")
+        code = main(
+            ["evaluate", *args, "--external", f"m={missing}", "--external", f"m={fixture_paths['recommendations']}"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --external 'm' is given twice\n"
+        assert not out_dir.exists()
+
+    def test_recommender_listed_twice_is_input_error(self, fixture_paths, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["evaluate", *base_args(fixture_paths, out_dir, "--recommenders", "random,random")]) == 1
+        assert capsys.readouterr().err == "error: recommenders list has duplicates: random, random\n"
         assert not out_dir.exists()
 
 

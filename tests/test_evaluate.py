@@ -1,14 +1,17 @@
 import gc
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import newsdiv
 from newsdiv.cli import main
 from newsdiv.corpus import (
     Article,
@@ -195,6 +198,30 @@ class TestEvaluateRecommendations:
         # 2 sources x 4 points x 10 lists x 2 partners, over 20 distinct pairs
         assert len(pair_ids) == 160
         assert len({id(pair_id) for pair_id in pair_ids}) == len(set(pair_ids)) == 20
+
+    def test_fragmentation_rows_stored_as_returned(self, world, monkeypatch):
+        corpus, impressions = world
+        recommendations = {
+            source: [recommend_random(impression, seed=seed) for impression in impressions[:10]]
+            for source, seed in (("b", 2), ("a", 1))
+        }
+        returned = []
+        sample = evaluate_module.sample_fragmentation
+
+        def recording(*args):
+            returned.append(sample(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(evaluate_module, "sample_fragmentation", recording)
+        grid = build_grid(["js", "kl"], ["mrr"], [5])
+        result = evaluate_recommendations(
+            corpus, impressions, recommendations, MetricConfig(seed=1, fragmentation_pairs=2), grid
+        )
+        calls = [(source, point) for source in ("a", "b") for point in grid]
+        assert len(returned) == len(calls)
+        for (source, point), rows in zip(calls, returned):
+            key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
+            assert result.sample_columns[key] is rows.samples
 
     def test_chain_distributions_built_once_per_weighting(self, world, monkeypatch):
         corpus, impressions = world
@@ -697,3 +724,13 @@ class TestMemory:
         rows = len(result.samples) + len(result.skips)
         assert (peak - base) / rows < 230
         assert (retained - base) / rows < 150
+
+    def test_importing_the_cli_leaves_array_unloaded(self):
+        """The array extension (about 0.14 MB of RSS) is imported when the
+        first rows are made, so that the commands that score nothing do
+        without it."""
+        code = "import sys, newsdiv.cli; print('array' in sys.modules)"
+        source = Path(newsdiv.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout) == (0, "False\n")

@@ -145,7 +145,9 @@ JSON_VALUES = st.recursive(
 )
 CELLS = (
     NAMES
-    | st.sampled_from(["N1-1 N2-0", "N1-1 N1-0", "I1|I2", "N1 N2", "0.5", "11/12/2019 9:25:58 AM"])
+    | st.sampled_from(
+        ["N1-1 N2-0", "N1-1 N1-0", "I1|I2", "N1 N2", "0.5", "11/12/2019 9:25:58 AM", "0001-01-01T00:00:00+01:00"]
+    )
     | st.text(max_size=8)
 )
 LINES = st.one_of(

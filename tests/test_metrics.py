@@ -255,8 +255,8 @@ class TestFragmentationSampling:
 
     def test_three_lists_one_pair_each(self):
         result = sample_fragmentation(self.make_recs(3), cfg(fragmentation_pairs=1, alpha=0.001))
-        assert len(result.samples) == 3
-        for pair_id, _ in result.samples:
+        assert len(result.samples.pair_ids) == len(result.samples.values) == 3
+        for pair_id in result.samples.pair_ids:
             left, right = pair_id.split("|")
             assert left != right
 
@@ -265,8 +265,7 @@ class TestFragmentationSampling:
         although the partner draw starts with I1, the first list id."""
         recs = {list_id: [art(list_id, chain_id="shared")] for list_id in ("I1", "I10", "I2")}
         result = sample_fragmentation(recs, cfg(fragmentation_pairs=2, alpha=0.001))
-        pair_ids = [pair_id for pair_id, _ in result.samples]
-        assert pair_ids == ["I10|I1", "I10|I2", "I1|I10", "I1|I2", "I2|I1", "I2|I10"]
+        assert result.samples.pair_ids == ["I10|I1", "I10|I2", "I1|I10", "I1|I2", "I2|I1", "I2|I10"]
 
     def test_same_seed_same_samples(self):
         recs = self.make_recs(5)
@@ -300,8 +299,8 @@ class TestFragmentationSampling:
 
     def test_single_list_yields_skip(self):
         result = sample_fragmentation(self.make_recs(1), cfg())
-        assert result.samples == []
-        assert result.skips == [("", "fewer than 2 recommendation lists")]
+        assert (result.samples.pair_ids, list(result.samples.values)) == ([], [])
+        assert (result.skips.pair_ids, result.skips.values) == ([""], ["fewer than 2 recommendation lists"])
 
 
 class TestAggregate:
