@@ -32,13 +32,24 @@ class _HelpFormatter(argparse.HelpFormatter):
         return action.help if default is None else f"{action.help} (default {default})"
 
 
+class _StoreOnce(argparse.Action):
+    """Stores a flag's value; a second occurrence of the flag is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(None, f"{option_string} is given twice")
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """Takes each flag under its full name only, so that ``--divergence``
-    cannot stand for ``--divergences``, and reports usage errors as input
-    errors, so that they exit 1."""
+    cannot stand for ``--divergences``, stores each flag without an action
+    of its own once, and reports usage errors as input errors, so that they
+    exit 1."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, formatter_class=_HelpFormatter, **kwargs)
+        self.register("action", None, _StoreOnce)
 
     def error(self, message: str):
         raise InputError(f"{self.prog}: {message}")
@@ -214,10 +225,10 @@ def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     )
     out_dir = config.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = aggregate_rows(result.sample_columns, result.skip_columns)
+    rows = aggregate_rows(result.rows)
     write_report(rows, out_dir / "report.json", config.echo())
-    write_samples_csv(result.sample_columns, out_dir / "samples.csv")
-    write_skips(result.skip_columns, out_dir / "skips.json")
+    write_samples_csv(result.rows, out_dir / "samples.csv")
+    write_skips(result.rows, out_dir / "skips.json")
     print(
         f"wrote {out_dir / 'report.json'} ({len(rows)} rows), "
         f"{out_dir / 'samples.csv'} ({result.sample_count} samples), "

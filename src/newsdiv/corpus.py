@@ -294,6 +294,7 @@ def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -
 
 
 def _load_bodies(path: Path, corpus: Corpus) -> None:
+    first_lines: dict[str, int] = {}
     for record in read_records(path):
         article_id = record.get("id", str)
         if not article_id:
@@ -304,6 +305,7 @@ def _load_bodies(path: Path, corpus: Corpus) -> None:
         else:
             published = record.get("published_at", float, None)
         body = record.get("body", str, None)
+        check_unique(first_lines, article_id, path, record.lineno, "article id", ParseError)
         if article_id not in corpus:
             corpus.warn(f"{record.where}: body for unknown article {article_id!r} skipped")
             continue

@@ -17,7 +17,6 @@ from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribut
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
     HISTORY_METRICS,
-    Columns,
     MetricConfig,
     Rows,
     _sample,
@@ -80,45 +79,32 @@ class SkipRow(KeyedRow):
     reason: str
 
 
-# Column sets by their CONFIG_COLUMNS value.
-ColumnSets = dict[tuple, Columns]
-
-
 @dataclass
 class EvaluationResult:
-    """Every sample and skip of a run, as one column set per configuration.
-    Both mappings hold their keys in sorted order and each column set its
-    rows in pair id order, so that together they are in ``KEY_COLUMNS``
-    order; configurations without a sample (or a skip) have no entry."""
+    """Every sample and skip of a run: ``rows`` maps each configuration's
+    ``CONFIG_COLUMNS`` value to its ``metrics.Rows``.  The keys are in
+    sorted order and each configuration's rows in pair id order, so that
+    together they are in ``KEY_COLUMNS`` order."""
 
-    sample_columns: ColumnSets
-    skip_columns: ColumnSets
+    rows: dict[tuple, Rows]
 
     @property
     def samples(self) -> list[SampleRow]:
         """The samples as rows in ``KEY_COLUMNS`` order, built on each access."""
-        return _rows(SampleRow, self.sample_columns)
+        return [SampleRow(*key, *row) for key, rows in self.rows.items() for row in zip(*rows.samples)]
 
     @property
     def skips(self) -> list[SkipRow]:
         """The skips as rows in ``KEY_COLUMNS`` order, built on each access."""
-        return _rows(SkipRow, self.skip_columns)
+        return [SkipRow(*key, *row) for key, rows in self.rows.items() for row in zip(*rows.skips)]
 
     @property
     def sample_count(self) -> int:
-        return sum(len(columns.pair_ids) for columns in self.sample_columns.values())
+        return sum(len(rows.samples.pair_ids) for rows in self.rows.values())
 
     @property
     def skip_count(self) -> int:
-        return sum(len(columns.pair_ids) for columns in self.skip_columns.values())
-
-
-def _rows(row_type: type, column_sets: ColumnSets) -> list:
-    return [
-        row_type(*key, pair_id, value)
-        for key, columns in column_sets.items()
-        for pair_id, value in zip(*columns)
-    ]
+        return sum(len(rows.skips.pair_ids) for rows in self.rows.values())
 
 
 def build_grid(
@@ -381,14 +367,14 @@ def evaluate_recommendations(
 ) -> EvaluationResult:
     """Compute every metric sample for every recommender and grid point.
 
-    Rows come back as column sets in ``KEY_COLUMNS`` order (see
-    ``EvaluationResult``), fragmentation's as ``sample_fragmentation``
-    returned them.  Fragmentation partners are drawn from the seed
-    once per distinct set of listed impressions and reused across the grid
-    and the recommenders, keeping grid points comparable.  An impression id
-    that occurs twice in ``impressions`` or in one source's lists is a
-    ValidationError; an empty grid, or one that repeats a point (whose
-    samples would count twice), is a ValueError.
+    The result holds one ``metrics.Rows`` per configuration, in
+    ``KEY_COLUMNS`` order (see ``EvaluationResult``), fragmentation's as
+    ``sample_fragmentation`` returned them.  Fragmentation partners are
+    drawn from the seed once per distinct set of listed impressions and
+    reused across the grid and the recommenders, keeping grid points
+    comparable.  An impression id that occurs twice in ``impressions`` or
+    in one source's lists is a ValidationError; an empty grid, or one that
+    repeats a point (whose samples would count twice), is a ValueError.
 
     A large run (at least ``_FORK_MIN_WORK`` lists x grid points) on more
     than one CPU scores the per-impression metrics in a child made with
@@ -463,8 +449,4 @@ def evaluate_recommendations(
         finish()  # a scoring error comes first, as it does inline
         raise
     rows.update(finish())  # disjoint keys: the scorer's are per-impression metrics
-    ordered = sorted(rows.items(), key=itemgetter(0))
-    return EvaluationResult(
-        {key: both.samples for key, both in ordered if both.samples.pair_ids},
-        {key: both.skips for key, both in ordered if both.skips.pair_ids},
-    )
+    return EvaluationResult(dict(sorted(rows.items(), key=itemgetter(0))))

@@ -1,7 +1,8 @@
 """Aggregation and serialization of evaluation output.
 
 Three files per run, keyed by ``evaluate.KEY_COLUMNS`` and written from
-the column sets of an ``evaluate.EvaluationResult``:
+the ``rows`` of an ``evaluate.EvaluationResult``: one ``metrics.Rows`` per
+configuration, walked in the mapping's (sorted) key order.
 
 * ``report.json``: one aggregate row per ``CONFIG_COLUMNS`` value, numbers
   rounded to 4 decimals.
@@ -21,17 +22,16 @@ from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
 
 from .corpus import write_lines
-from .evaluate import CONFIG_COLUMNS, KEY_COLUMNS, ColumnSets, KeyedRow, SampleRow
-from .metrics import aggregate
+from .evaluate import CONFIG_COLUMNS, KEY_COLUMNS, KeyedRow, SampleRow
+from .metrics import Rows, aggregate
 
 SAMPLE_COLUMNS = (*KEY_COLUMNS, "sample")
 
 
-def aggregate_rows(samples: ColumnSets, skips: ColumnSets) -> list[dict]:
+def aggregate_rows(rows: Mapping[tuple, Rows]) -> list[dict]:
     """The report rows: one per configuration that produced at least one
     sample, with its key columns, its rounded ``metrics.Aggregate`` and its
-    skip count.  ``samples`` and ``skips`` map configurations to their
-    column sets.
+    skip count.
 
     Configurations where everything was skipped get no row; their counts
     remain visible in the skip report.
@@ -41,11 +41,12 @@ def aggregate_rows(samples: ColumnSets, skips: ColumnSets) -> list[dict]:
             **dict(zip(CONFIG_COLUMNS, key)),
             **{
                 name: round(value, 4) if type(value) is float else value
-                for name, value in asdict(aggregate(samples[key].values)).items()
+                for name, value in asdict(aggregate(both.samples.values)).items()
             },
-            "skips": len(skips[key].pair_ids) if key in skips else 0,
+            "skips": len(both.skips.pair_ids),
         }
-        for key in sorted(samples)
+        for key, both in rows.items()
+        if both.samples.pair_ids
     ]
 
 
@@ -57,14 +58,14 @@ def write_report(
     _write_json(path, {"config": dict(config_echo) if config_echo else {}, "rows": list(rows)})
 
 
-def write_samples_csv(samples: ColumnSets, path: str | Path) -> None:
-    """One line per sample, in the order of ``samples`` (configurations to
-    their column sets) and of each column set."""
+def write_samples_csv(rows: Mapping[tuple, Rows], path: str | Path) -> None:
+    """One line per sample, in the order of ``rows`` and of each
+    configuration's samples."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(SAMPLE_COLUMNS)
-        for key, columns in samples.items():
-            writer.writerows((*key, pair_id, repr(value)) for pair_id, value in zip(*columns))
+        for key, both in rows.items():
+            writer.writerows((*key, pair_id, repr(value)) for pair_id, value in zip(*both.samples))
 
 
 def read_samples_csv(path: str | Path) -> list[SampleRow]:
@@ -77,15 +78,15 @@ def read_samples_csv(path: str | Path) -> list[SampleRow]:
         ]
 
 
-def write_skips(skips: ColumnSets, path: str | Path) -> None:
-    """The skip count of each configuration and reason; ``skips`` maps
-    configurations to their column sets."""
-    rows = [
+def write_skips(rows: Mapping[tuple, Rows], path: str | Path) -> None:
+    """The skip count of each configuration, in the order of ``rows``, and
+    reason."""
+    counts = [
         {**dict(zip(CONFIG_COLUMNS, key)), "reason": reason, "count": count}
-        for key in sorted(skips)
-        for reason, count in sorted(Counter(skips[key].values).items())
+        for key, both in rows.items()
+        for reason, count in sorted(Counter(both.skips.values).items())
     ]
-    _write_json(path, {"rows": rows})
+    _write_json(path, {"rows": counts})
 
 
 def _write_json(path: str | Path, payload: Mapping[str, object]) -> None:

@@ -669,7 +669,7 @@ class TestErrorPaths:
         behaviors.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
         out = tmp_path / "out"
         if command == "evaluate":
-            args = ["evaluate", *base_args(fixture_paths, out), "--behaviors", str(behaviors)]
+            args = ["evaluate", *base_args({**fixture_paths, "behaviors": behaviors}, out)]
         else:
             args = ["recommend", "--behaviors", str(behaviors), "--strategy", "random", "-o", str(out)]
         assert main(args) == 1
@@ -682,7 +682,7 @@ class TestErrorPaths:
         lines = fixture_paths["behaviors"].read_text(encoding="utf-8").splitlines()
         behaviors.write_text("\n".join([*lines, f"I4\tU4\t{stamp}\t\tN1-1 N2-0"]) + "\n", encoding="utf-8")
         out = tmp_path / "out"
-        args = base_args(fixture_paths, out, "--behaviors", str(behaviors), "--pool", "daily")
+        args = base_args({**fixture_paths, "behaviors": behaviors}, out, "--pool", "daily")
         assert main(["evaluate", *args]) == 1
         message = f"error: {behaviors}:4: timestamp {stamp!r} is outside years 1-9999 in UTC"
         assert message in capsys.readouterr().err
@@ -783,6 +783,23 @@ class TestRepeatedOptions:
         assert main(["evaluate", *base_args(fixture_paths, out_dir, "--recommenders", "random,random")]) == 1
         assert capsys.readouterr().err == "error: recommenders list has duplicates: random, random\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,values",
+        [
+            ("evaluate", "--seed", ["1", "2"]),
+            ("evaluate", "--pool", ["daily", "impression"]),
+            ("sensitivity", "--cutoffs", ["0", "0"]),
+            ("enrich", "--output", ["a.jsonl", "b.jsonl"]),
+        ],
+    )
+    def test_flag_given_twice_is_input_error(self, fixture_paths, tmp_path, capsys, command, flag, values):
+        args = base_args(fixture_paths, tmp_path / "out")
+        if command == "enrich":  # enrich has no --out
+            args, values = args[:-2], [str(tmp_path / value) for value in values]
+        assert main([command, *args, flag, values[0], flag, values[1]]) == 1
+        assert capsys.readouterr().err == f"error: newsdiv {command}: {flag} is given twice\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWarnings:

@@ -417,6 +417,19 @@ class TestSidecar:
         assert any("N99" in warning for warning in enriched.warnings)
         assert any("rejected" in warning for warning in enriched.warnings)
 
+    def test_later_record_overrides_only_its_fields(self, enriched, tmp_path):
+        computed_complexity = enriched["N1"].complexity
+        path = tmp_path / "sidecar.jsonl"
+        path.write_text(
+            '{"id": "N1", "activation": 0.25, "chain_id": "first"}\n'
+            '{"id": "N1", "activation": 0.75, "chain_id": null}\n',
+            encoding="utf-8",
+        )
+        load_sidecar(path, enriched)
+        assert enriched["N1"].activation == 0.75
+        assert enriched["N1"].chain_id == "first"
+        assert enriched["N1"].complexity == computed_complexity
+
     def test_empty_sidecar_is_a_no_op(self, enriched, tmp_path):
         before = {article.id: article for article in enriched}
         path = tmp_path / "sidecar.jsonl"

@@ -190,9 +190,9 @@ class TestEvaluateRecommendations:
         )
         pair_ids = [
             pair_id
-            for column_sets in (result.sample_columns, result.skip_columns)
-            for key, columns in column_sets.items()
+            for key, rows in result.rows.items()
             if key[0] == "fragmentation"
+            for columns in rows
             for pair_id in columns.pair_ids
         ]
         # 2 sources x 4 points x 10 lists x 2 partners, over 20 distinct pairs
@@ -221,7 +221,7 @@ class TestEvaluateRecommendations:
         assert len(returned) == len(calls)
         for (source, point), rows in zip(calls, returned):
             key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
-            assert result.sample_columns[key] is rows.samples
+            assert result.rows[key] is rows
 
     def test_chain_distributions_built_once_per_weighting(self, world, monkeypatch):
         corpus, impressions = world
@@ -456,9 +456,8 @@ def column_bytes(result):
     """A result's keys, pair ids and values, with each sample value as its
     bytes, so that two results compare bit for bit."""
     return [
-        (key, columns.pair_ids, columns.values.tobytes() if kind == "samples" else columns.values)
-        for kind, column_sets in (("samples", result.sample_columns), ("skips", result.skip_columns))
-        for key, columns in column_sets.items()
+        (key, rows.samples.pair_ids, rows.samples.values.tobytes(), rows.skips)
+        for key, rows in result.rows.items()
     ]
 
 
@@ -519,9 +518,9 @@ class TestForkedScoring:
         own = {id(impression.impression_id) for impression in impressions}
         pair_ids = [
             pair_id
-            for column_sets in (result.sample_columns, result.skip_columns)
-            for key, columns in column_sets.items()
+            for key, rows in result.rows.items()
             if key[0] != "fragmentation"
+            for columns in rows
             for pair_id in columns.pair_ids
         ]
         assert pair_ids

@@ -37,6 +37,7 @@ PROBES = [
     ("sidecar", {"id": "N1", "chain_id": 5}, "'chain_id' must be a string"),
     ("bodies", {"id": "N1", "published_at": math.nan}, "'published_at' must be a finite number"),
     ("bodies", {"id": "N1", "published_at": "yesterday"}, "unparseable timestamp 'yesterday'"),
+    ("bodies", {"id": "N1", "body": "Other text entirely."}, "duplicate article id 'N1' (first on line 1)"),
     ("sidecar", {"id": "N1", "complexity": math.nan}, "'complexity' must be a finite number"),
 ]
 
@@ -146,7 +147,10 @@ JSON_VALUES = st.recursive(
 CELLS = (
     NAMES
     | st.sampled_from(
-        ["N1-1 N2-0", "N1-1 N1-0", "I1|I2", "N1 N2", "0.5", "11/12/2019 9:25:58 AM", "0001-01-01T00:00:00+01:00"]
+        [
+            "N1-1 N2-0", "N1-1 N1-0", "I1|I2", "N1 N2", "0.5", "11/12/2019 9:25:58 AM", "0001-01-01T00:00:00+01:00",
+            '{"id": "N1", "body": "Other text."}',
+        ]
     )
     | st.text(max_size=8)
 )
@@ -165,10 +169,12 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(line=LINES)
-def test_every_loader_returns_or_names_the_line(fixture_paths, fuzz_dir, line):
+@given(line=LINES, copies=st.integers(1, 2))
+def test_every_loader_returns_or_names_the_line(fixture_paths, fuzz_dir, line, copies):
+    """Each loader returns or names a line of a file that holds ``line``
+    once or twice; the second copy repeats every id or key it holds."""
     path = fuzz_dir / "input"
-    path.write_bytes(line.replace(b"\n", b"") + b"\n")
+    path.write_bytes((line.replace(b"\n", b"") + b"\n") * copies)
     impressions = load_behaviors(fixture_paths["behaviors"])
     loaders = [
         lambda: load_catalog(path),
@@ -185,4 +191,4 @@ def test_every_loader_returns_or_names_the_line(fixture_paths, fuzz_dir, line):
         try:
             load()
         except InputError as exc:
-            assert str(exc).startswith(f"{path}:1: "), str(exc)
+            assert str(exc).startswith(tuple(f"{path}:{lineno}: " for lineno in range(1, copies + 1))), str(exc)
