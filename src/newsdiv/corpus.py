@@ -159,14 +159,6 @@ def parse_time(value: str) -> float:
         raise ParseError(f"timestamp {value!r} is outside years 1-9999 in UTC") from None
 
 
-def format_time(epoch: float) -> str:
-    """ISO-8601 UTC, microseconds only when present."""
-    stamp = datetime.fromtimestamp(epoch, tz=timezone.utc)
-    if stamp.microsecond:
-        return stamp.strftime("%Y-%m-%dT%H:%M:%S.%f") + "Z"
-    return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def read_lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
     """Line number and text of each non-blank line of a UTF-8 file, without
     its line ending.  With ``comments``, lines are also trimmed and those that
@@ -246,10 +238,12 @@ def read_records(path: Path) -> Iterator[Record]:
 def check_unique(
     first_lines: dict[str, int], key: str, path: Path, lineno: int, what: str, error=ValidationError
 ) -> None:
-    """Note the line on which ``key`` first occurs; a repeat is an ``error``."""
-    first = first_lines.setdefault(key, lineno)
-    if first != lineno:
+    """Note the line on which ``key`` first occurs; a repeat, also one on the
+    same line, is an ``error``."""
+    first = first_lines.get(key)
+    if first is not None:
         raise error(f"{path}:{lineno}: duplicate {what} {key!r} (first on line {first})")
+    first_lines[key] = lineno
 
 
 def _timestamp(text: str, path: Path, lineno: int) -> float:
@@ -474,35 +468,6 @@ def write_records(path: str | Path, records: Iterable[Mapping[str, object]]) -> 
     """Write one JSON object per line, keys sorted and non-ASCII text kept;
     the inverse of :func:`read_records`."""
     write_lines(path, (json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records))
-
-
-def dump_catalog(corpus: Corpus, news_path: str | Path, bodies_path: str | Path) -> None:
-    """Write the canonical catalog pair; re-parsing restores the raw fields."""
-    write_lines(
-        news_path,
-        ("\t".join([article.id, article.category, article.subcategory, article.title, "", ""])
-         for article in corpus),
-    )
-    write_records(
-        bodies_path,
-        ({"id": article.id, "body": article.body, "published_at": article.published_at}
-         for article in corpus),
-    )
-
-
-def dump_behaviors(impressions: Iterable[ImpressionLog], path: str | Path) -> None:
-    """Write behaviors in the canonical TSV; history goes back out oldest
-    first so a round trip restores the stored orientation."""
-    write_lines(path, map(_behaviors_line, impressions))
-
-
-def _behaviors_line(impression: ImpressionLog) -> str:
-    history = " ".join(reversed(impression.history))
-    candidates = " ".join(
-        f"{article_id}-{1 if clicked else 0}" for article_id, clicked in impression.candidates
-    )
-    time = format_time(impression.time)
-    return "\t".join([impression.impression_id, impression.user_id, time, history, candidates])
 
 
 def dump_recommendations(recommendations: Iterable[RecommendationList], path: str | Path) -> None:

@@ -8,11 +8,12 @@ a stronger external pipeline.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import (Article, Corpus, ImpressionLog, check_unique, read_lines, read_records,
                      write_records)
@@ -22,6 +23,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _WORD_RE = re.compile(r"\w+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
 _VOWEL_RUN_RE = re.compile(r"[aeiouy]+")
+_NON_LETTER_RE = re.compile(r"[^a-z]")
 
 DEFAULT_TAU = 0.5
 DEFAULT_WINDOW_SECONDS = 3 * 86400.0
@@ -36,26 +38,27 @@ def count_syllables(word: str) -> int:
     trailing 'e', never below one per word."""
     if not word:
         return 0
-    letters = re.sub(r"[^a-z]", "", word.lower())
+    letters = _NON_LETTER_RE.sub("", word.lower())
     runs = len(_VOWEL_RUN_RE.findall(letters))
     if letters.endswith("e"):
         runs -= 1
     return max(runs, 1)
 
 
-def complexity(text: str) -> float | None:
+def complexity(text: str, syllables: Callable[[str], int] = count_syllables) -> float | None:
     """Reading-ease score 206.835 - 1.015 (words/sentences)
     - 84.6 (syllables/words), clamped to [0, 100].
 
     Sentences split on runs of ``.!?``; words on whitespace; syllables via
-    :func:`count_syllables`.  Empty text yields None, not zero.
+    ``syllables``, :func:`count_syllables` or a memo of it.  Empty text
+    yields None, not zero.
     """
     if not text.strip():
         return None
     words = text.split()
     sentences = sum(1 for part in _SENTENCE_RE.split(text) if part.strip()) or 1
-    syllables = sum(count_syllables(word) for word in words)
-    score = 206.835 - 1.015 * (len(words) / sentences) - 84.6 * (syllables / len(words))
+    syllable_count = sum(map(syllables, words))
+    score = 206.835 - 1.015 * (len(words) / sentences) - 84.6 * (syllable_count / len(words))
     return min(max(score, 0.0), 100.0)
 
 
@@ -145,10 +148,15 @@ class Gazetteer:
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
     """Gazetteer JSON lines: ``{"canonical_id", "kind", "aliases",
-    "is_political", "in_knowledge_base"}``."""
+    "is_political", "in_knowledge_base"}``.
+
+    Aliases match case-insensitively, so an alias listed twice, in any case,
+    within one entry or across two, is a ParseError: it would count each
+    mention once per listing."""
     path = Path(path)
     entries = []
     first_lines: dict[str, int] = {}
+    alias_lines: dict[str, int] = {}
     for record in read_records(path):
         canonical_id = record.get("canonical_id", str)
         kind = record.get("kind", str, None)
@@ -158,6 +166,8 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
         if not aliases or not all(aliases):
             raise ParseError(f"{record.where}: aliases must be non-empty")
         check_unique(first_lines, canonical_id, path, record.lineno, "gazetteer id", ParseError)
+        for alias in aliases:
+            check_unique(alias_lines, alias, path, record.lineno, "alias", ParseError)
         entries.append(
             GazetteerEntry(
                 canonical_id=canonical_id,
@@ -204,36 +214,27 @@ def _tf_idf_vector(tokens: Sequence[str], idf: Mapping[str, float]) -> dict[str,
     return {token: value / norm for token, value in vector.items()}
 
 
-def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    return math.fsum(value * b[token] for token, value in a.items() if token in b)
-
-
 class _Chain:
-    __slots__ = ("chain_id", "vector_sum", "last_seen", "_centroid")
+    __slots__ = ("chain_id", "vector_sum", "last_seen", "_norm")
 
     def __init__(self, chain_id: str, last_seen: float):
         self.chain_id = chain_id
         self.vector_sum: dict[str, float] = {}
         self.last_seen = last_seen
-        self._centroid: dict[str, float] | None = None
+        self._norm: float | None = None
 
-    def centroid(self) -> dict[str, float]:
-        """The normalised ``vector_sum``, kept until the next :meth:`absorb`."""
-        if self._centroid is None:
-            norm = math.sqrt(math.fsum(value * value for value in self.vector_sum.values()))
-            if norm == 0.0:
-                self._centroid = {}
-            else:
-                self._centroid = {token: value / norm for token, value in self.vector_sum.items()}
-        return self._centroid
+    def norm(self) -> float:
+        """The Euclidean norm of ``vector_sum``, kept until the next
+        :meth:`absorb`; the centroid is ``vector_sum`` divided by it."""
+        if self._norm is None:
+            self._norm = math.sqrt(math.fsum([value * value for value in self.vector_sum.values()]))
+        return self._norm
 
     def absorb(self, vector: Mapping[str, float], seen: float) -> None:
         for token, value in vector.items():
             self.vector_sum[token] = self.vector_sum.get(token, 0.0) + value
         self.last_seen = max(self.last_seen, seen)
-        self._centroid = None
+        self._norm = None
 
 
 def check_chaining(tau: float, window_seconds: float) -> None:
@@ -273,21 +274,36 @@ def chain_articles(
     for article in articles:
         vector = _tf_idf_vector(document_tokens[article.id], idf)
         when = article.published_at if article.published_at is not None else 0.0
-        # A chain sharing no token scores fsum([]) == 0.0, which never beats
-        # best_score, so only the holders of the article's tokens are scored.
+        # The cosine with a chain is the fsum of one product per article
+        # token the chain holds, with vector_sum[token] / norm as the
+        # centroid's entry, so products are gathered token by token from the
+        # index.  A chain sharing no token would score fsum([]) == 0.0, which
+        # never beats best_score.  Each chain's window is tested once per
+        # article; None marks a chain outside it.  A chain in the index holds
+        # a positive entry, so its norm is positive.
+        scoring: dict[int, tuple[dict[str, float], float, list[float]] | None] = {}
+        for token, value in vector.items():
+            for position in holders.get(token, ()):
+                if position in scoring:
+                    entry = scoring[position]
+                else:
+                    chain = chains[position]
+                    entry = scoring[position] = (
+                        None if when - chain.last_seen > window_seconds
+                        else (chain.vector_sum, chain.norm(), [])
+                    )
+                if entry is not None:
+                    vector_sum, norm, products = entry
+                    products.append(value * (vector_sum[token] / norm))
         # Creation order keeps the first-created chain winning ties.
-        candidates: set[int] = set()
-        for token in vector:
-            candidates.update(holders.get(token, ()))
         best: int | None = None
         best_score = 0.0
-        for position in sorted(candidates):
-            chain = chains[position]
-            if when - chain.last_seen > window_seconds:
-                continue
-            score = _cosine(vector, chain.centroid())
-            if score > best_score:
-                best, best_score = position, score
+        for position in sorted(scoring):
+            entry = scoring[position]
+            if entry is not None:
+                score = math.fsum(entry[2])
+                if score > best_score:
+                    best, best_score = position, score
         if best is None or best_score < tau:
             best = len(chains)
             chains.append(_Chain(f"chain_{best + 1:06d}", when))
@@ -340,10 +356,11 @@ def enrich_corpus(
     if undated:
         corpus.warn(f"{undated} article(s) lack a timestamp and were not chained")
 
+    syllables = functools.cache(count_syllables)  # one count per distinct word of this run
     for article in list(corpus):
         text = article.text()
         fields: dict[str, object] = {
-            "complexity": complexity(text),
+            "complexity": complexity(text, syllables),
             "chain_id": chain_of.get(article.id),
         }
         if lexicon is not None and text:

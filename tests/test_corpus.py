@@ -7,10 +7,7 @@ import pytest
 
 from newsdiv.corpus import (
     Article,
-    dump_behaviors,
-    dump_catalog,
     dump_recommendations,
-    format_time,
     load_behaviors,
     load_catalog,
     load_recommendations,
@@ -20,6 +17,7 @@ from newsdiv.corpus import (
     write_records,
 )
 from newsdiv.errors import ParseError, ValidationError
+from writers import dump_behaviors, dump_catalog, format_time
 
 
 class TestLoadCatalog:

@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newsdiv.corpus import Article, load_behaviors, load_catalog
+from newsdiv.corpus import Article, Corpus, load_behaviors, load_catalog
 from newsdiv.enrich import (
     Gazetteer,
     GazetteerEntry,
@@ -109,6 +109,10 @@ HOUR = 3600.0
 DAY = 86400.0
 # Few words, so generated articles repeat texts and tie on cosine.
 CHAIN_WORDS = ["mayor", "bridge", "vote", "storm", "river", "derby"]
+# Drawn as often as all of CHAIN_WORDS, so chains also differ in vocabulary;
+# "!" holds no token, so a text of it alone has an empty vector.
+OTHER_WORDS = ["council", "budget", "flood", "school", "strike", "court", "fire", "market", "train",
+               "harbour", "tunnel", "!"]
 
 
 def reference_chains(articles, tau, window_seconds):
@@ -208,6 +212,18 @@ class TestChaining:
         for order in (["a", "b", "c"], ["c", "b", "a"], ["b", "c", "a"]):
             assert partition(order) == expected
 
+    def test_equal_scores_go_to_the_first_created_chain(self):
+        # "c" scores exactly the same against both chains, by symmetry of
+        # the token frequencies: 0.428..., above tau.
+        articles = [
+            article("a", "mayor bridge", 0.0),
+            article("b", "storm river", HOUR),
+            article("c", "mayor storm", 2 * HOUR),
+        ]
+        chains = chain_articles(articles, tau=0.4)
+        assert chains["a"] != chains["b"]
+        assert chains["c"] == chains["a"]
+
     def test_determinism(self):
         articles = [
             article("a", "mayor opens the new bridge", 0.0),
@@ -225,22 +241,29 @@ class TestChaining:
         with pytest.raises(ValueError, match="chaining window"):
             chain_articles([], window_seconds=window)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.lists(st.sampled_from(CHAIN_WORDS), max_size=6).map(" ".join),
-                st.sampled_from([0.0, HOUR, DAY - 1.0, DAY, DAY + 1.0, 2 * DAY, 3 * DAY]),
+                st.lists(
+                    st.one_of(st.sampled_from(CHAIN_WORDS), st.sampled_from(OTHER_WORDS)), max_size=8
+                ).map(" ".join),
+                st.one_of(
+                    st.sampled_from([0.0, HOUR, DAY - 1.0, DAY, DAY + 1.0, 2 * DAY, 3 * DAY]),
+                    st.integers(0, 8 * 24).map(lambda hours: hours * HOUR),
+                ),
             ),
-            max_size=25,
+            max_size=40,
         ),
         st.sampled_from([0.1, 0.5, 0.8, 1.0]),
+        st.booleans(),
     )
-    def test_matches_full_scan_reference(self, drafts, tau):
-        articles = [
-            article(f"a{number}", text, when)
-            for number, (text, when) in enumerate(sorted(drafts, key=lambda draft: draft[1]))
-        ]
+    def test_matches_full_scan_reference(self, drafts, tau, in_time_order):
+        """Times span eight one-day windows, so most chains holding a token
+        have left the window, and come in drawn order unless sorted."""
+        if in_time_order:
+            drafts = sorted(drafts, key=lambda draft: draft[1])
+        articles = [article(f"a{number}", text, when) for number, (text, when) in enumerate(drafts)]
         assert chain_articles(articles, tau=tau, window_seconds=DAY) == reference_chains(
             articles, tau, DAY
         )
@@ -399,6 +422,27 @@ class TestEnrichCorpus:
         # N1 first appears in I1 (11/12/2019 9:25:58 AM)
         assert corpus["N1"].published_at == impressions[0].time
         assert all(article.chain_id for article in corpus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["the", "The", "THE", "cake", "Cake,", "cake.", "rhythm", "e", "née",
+                                 "x-ray", "Mayor's", "bridge!", "...", "Beautiful", "beautiful?",
+                                 "elephants", "Situation.", "reading-ease"]),
+                max_size=12,
+            ).map(" ".join),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_complexity_counts_as_the_text_alone(self, texts):
+        """The run's syllable memo gives each text the score it has alone."""
+        corpus = Corpus()
+        for number, text in enumerate(texts):
+            corpus.add(article(f"a{number}", text, 0.0))
+        enrich_corpus(corpus)
+        assert [item.complexity for item in corpus] == [complexity(text) for text in texts]
 
     def test_unchained_articles_warned(self, fixture_paths):
         corpus = load_catalog(fixture_paths["news"])  # nothing carries a timestamp

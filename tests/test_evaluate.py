@@ -18,7 +18,6 @@ from newsdiv.corpus import (
     Corpus,
     ImpressionLog,
     RecommendationList,
-    dump_behaviors,
     load_behaviors,
     load_catalog,
 )
@@ -50,6 +49,7 @@ from newsdiv.metrics import (
 )
 from newsdiv.recommenders import recommend_random
 from newsdiv.report import read_samples_csv
+from writers import dump_behaviors
 
 
 @pytest.fixture(scope="module")

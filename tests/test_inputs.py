@@ -132,6 +132,20 @@ class TestReaders:
         with pytest.raises(ParseError, match=f"^{path}:3: duplicate gazetteer id 'X' \\(first on line 1\\)$"):
             load_gazetteer(path)
 
+    def test_alias_repeated_within_an_entry_in_another_case(self, tmp_path):
+        path = tmp_path / "gazetteer.jsonl"
+        entry = {**GAZETTEER_ENTRY, "aliases": ["ann kovac", "Ann Kovac"]}
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{path}:1: duplicate alias 'ann kovac' \\(first on line 1\\)$"):
+            load_gazetteer(path)
+
+    def test_alias_shared_by_two_entries_names_both_lines(self, tmp_path):
+        path = tmp_path / "gazetteer.jsonl"
+        other = {**GAZETTEER_ENTRY, "canonical_id": "Y", "aliases": ["bo", "ANN"]}
+        path.write_text(f"{json.dumps(GAZETTEER_ENTRY)}\n{json.dumps(other)}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{path}:2: duplicate alias 'ann' \\(first on line 1\\)$"):
+            load_gazetteer(path)
+
 
 FIELDS = (
     "id", "body", "published_at", "impression_id", "user_id", "ranked_item_ids", "canonical_id",
