@@ -208,6 +208,11 @@ def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
         grid = build_grid([config.divergence], [config.weighting], config.cutoffs)
     else:
         grid = build_grid(config.divergences, config.weightings, config.cutoffs)
+    if config.alpha == 0.0 and any(point.divergence == "kl" for point in grid):
+        raise InputError(
+            "--alpha 0 leaves kl infinite wherever one side of a pair lacks a key of the other; "
+            "give --alpha > 0 or score js only"
+        )
     _require(config, "news", "behaviors")
     if not config.recommenders and not config.externals:
         raise InputError("no recommenders to score: --recommenders is empty and no --external given")

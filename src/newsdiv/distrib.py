@@ -60,6 +60,10 @@ class RankWeighting:
     def without_cutoff(self) -> "RankWeighting":
         return RankWeighting(self.scheme, None)
 
+    def ranked(self, items: Sequence[T]) -> Sequence[T]:
+        """The items within the cutoff, in rank order."""
+        return items if self.cutoff is None else items[: self.cutoff]
+
 
 @dataclass(frozen=True)
 class Binning:
@@ -99,7 +103,7 @@ class DiscreteDistribution:
 
     def __init__(self, masses: Mapping[str, float]):
         total = math.fsum(masses.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:  # NaN fails it too
             raise ValueError(f"masses sum to {total!r}, expected 1")
         for key, mass in masses.items():
             if mass < 0.0:
@@ -130,6 +134,43 @@ class DiscreteDistribution:
 
 
 KeyFn = Callable[[T], Mapping[str, float]]
+# An item's keys as ``_key_pairs`` returns them: (key, multiplier) pairs.
+_KeyPairs = tuple[tuple[str, float], ...]
+
+
+def _key_pairs(keys: Mapping[str, float]) -> _KeyPairs:
+    """An item's {key: multiplier} as the (key, multiplier) pairs that
+    count.  A zero multiplier drops out; a negative or NaN one is a
+    ValueError."""
+    pairs = []
+    for key, multiplier in keys.items():
+        if not multiplier >= 0.0:
+            raise ValueError(f"key multiplier {multiplier!r} at key {key!r} is not >= 0")
+        if multiplier != 0.0:
+            pairs.append((key, multiplier))
+    return tuple(pairs)
+
+
+def _from_pairs(rows: Sequence[_KeyPairs], scheme: str) -> DiscreteDistribution:
+    """The distribution of ``_key_pairs`` rows, one per item in rank order,
+    each item weighted by ``scheme``'s weight of its rank."""
+    weights: dict[str, list[float]] = {}
+    for pairs, item_weight in zip(rows, rank_weights(scheme, len(rows))):
+        for key, multiplier in pairs:
+            weights.setdefault(key, []).append(item_weight * multiplier)
+    return DiscreteDistribution.from_weights({key: math.fsum(parts) for key, parts in weights.items()})
+
+
+def _history_from_pairs(rows: Sequence[_KeyPairs], scheme: str) -> DiscreteDistribution:
+    """``_from_pairs`` over a reading history; an empty one gives no context."""
+    if not rows:
+        raise EmptyDistributionError("no context")
+    return _from_pairs(rows, scheme)
+
+
+def _ranked_pairs(items: Sequence[T], key_fn: KeyFn, weighting: RankWeighting) -> list[_KeyPairs]:
+    """The ``_key_pairs`` of the items within the cutoff of ``weighting``."""
+    return [_key_pairs(key_fn(item)) for item in weighting.ranked(items)]
 
 
 def build_distribution(
@@ -147,17 +188,7 @@ def build_distribution(
     its multiplier, and the normalizer is the total over keys, so masses
     always sum to one.  Without any key, it is an EmptyDistributionError.
     """
-    ranked = items if weighting.cutoff is None else items[: weighting.cutoff]
-    weights: dict[str, list[float]] = {}
-    for item, item_weight in zip(ranked, rank_weights(weighting.scheme, len(ranked))):
-        for key, multiplier in key_fn(item).items():
-            if multiplier < 0.0:
-                raise ValueError(f"negative key multiplier {multiplier!r} at key {key!r}")
-            if multiplier == 0.0:
-                continue
-            weights.setdefault(key, []).append(item_weight * multiplier)
-    sums = {key: math.fsum(parts) for key, parts in sorted(weights.items())}
-    return DiscreteDistribution.from_weights(sums)
+    return _from_pairs(_ranked_pairs(items, key_fn, weighting), weighting.scheme)
 
 
 def history_distribution(
@@ -170,24 +201,7 @@ def history_distribution(
     ``history`` must be ordered most recent first, so the discount weighs
     recently read articles higher.
     """
-    if not history:
-        raise EmptyDistributionError("no context")
-    return build_distribution(history, key_fn, weighting)
-
-
-def _smoothed_masses(
-    p_masses: Mapping[str, float], q_masses: Mapping[str, float], alpha: float
-) -> tuple[list[str], list[float], list[float]]:
-    """The sorted union domain of two mass mappings and the masses of
-    ``smooth_pair``'s (p_bar, q_bar) over it, as two lists aligned with the
-    domain.  ``alpha`` must already be checked."""
-    domain = sorted(p_masses.keys() | q_masses.keys())
-    keep = 1.0 - alpha
-    p_mixed = [keep * p_masses.get(key, 0.0) + alpha * q_masses.get(key, 0.0) for key in domain]
-    q_mixed = [keep * q_masses.get(key, 0.0) + alpha * p_masses.get(key, 0.0) for key in domain]
-    p_total = math.fsum(p_mixed)
-    q_total = math.fsum(q_mixed)
-    return domain, [value / p_total for value in p_mixed], [value / q_total for value in q_mixed]
+    return _history_from_pairs(_ranked_pairs(history, key_fn, weighting), weighting.scheme)
 
 
 def smooth_pair(
@@ -202,9 +216,12 @@ def smooth_pair(
     wherever p is (no zero division) and p_bar is positive wherever q is
     (the divergence cannot be forced to zero by a key missing from p).
     """
+    from .divergence import _mixed, _union  # the pair kernel; that module imports this one
+
     _check_alpha(alpha)
-    domain, p_bar, q_bar = _smoothed_masses(p.masses, q.masses, alpha)
+    p_mixed, q_mixed, p_total, q_total = _mixed(p.masses, q.masses, alpha)
+    keys = _union(p.masses, q.masses)
     return (
-        DiscreteDistribution(dict(zip(domain, p_bar))),
-        DiscreteDistribution(dict(zip(domain, q_bar))),
+        DiscreteDistribution({key: mass / p_total for key, mass in zip(keys, p_mixed)}),
+        DiscreteDistribution({key: mass / q_total for key, mass in zip(keys, q_mixed)}),
     )

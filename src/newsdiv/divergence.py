@@ -3,14 +3,15 @@
 All logarithms are base 2, which bounds the Jensen-Shannon divergence by 1.
 ``js`` returns the square root of that bounded value: unlike KL it is a
 proper distance (identity of indiscernibles, symmetry, triangle inequality).
-Sums run over lexicographically sorted keys and accumulate with ``math.fsum``
-so results are exact to the last bit and independent of caller ordering.
+Sums accumulate with ``math.fsum``, which is correctly rounded, so results
+are exact to the last bit and independent of key and caller ordering.
 """
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
-from .distrib import DiscreteDistribution, _check_alpha, _smoothed_masses
+from .distrib import DiscreteDistribution, _check_alpha
 from .errors import UnsmoothedZeroError
 
 KINDS = ("kl", "js")
@@ -21,19 +22,53 @@ def _check_domains(p: DiscreteDistribution, q: DiscreteDistribution) -> None:
         raise ValueError("distributions must share one domain; align them with smooth_pair")
 
 
+def _mixed(
+    p_masses: Mapping[str, float], q_masses: Mapping[str, float], alpha: float
+) -> tuple[list[float], list[float], float, float]:
+    """The pair kernel: the masses of ``smooth_pair``'s (p_bar, q_bar) before
+    normalising, ``keep * p + alpha * q`` and ``keep * q + alpha * p`` on the
+    union domain in ``_union`` order, and their two ``fsum`` totals.
+
+    A key missing from one side takes the same float operations with a mass
+    of 0.0, which leave ``keep * mass`` and ``alpha * mass`` unchanged for
+    masses >= 0, so those terms are computed without the zero.  ``alpha``
+    must already be checked."""
+    keep = 1.0 - alpha
+    p_mixed = []
+    q_mixed = []
+    q_mass_of = q_masses.get
+    for key, p_mass in p_masses.items():
+        q_mass = q_mass_of(key)
+        if q_mass is None:
+            p_mixed.append(keep * p_mass)
+            q_mixed.append(alpha * p_mass)
+        else:
+            p_mixed.append(keep * p_mass + alpha * q_mass)
+            q_mixed.append(keep * q_mass + alpha * p_mass)
+    for key, q_mass in q_masses.items():
+        if key not in p_masses:
+            p_mixed.append(alpha * q_mass)
+            q_mixed.append(keep * q_mass)
+    return p_mixed, q_mixed, math.fsum(p_mixed), math.fsum(q_mixed)
+
+
+def _union(p_masses: Mapping[str, float], q_masses: Mapping[str, float]) -> list[str]:
+    """The keys of ``_mixed``'s masses: p's, then q's others."""
+    return [*p_masses, *(key for key in q_masses if key not in p_masses)]
+
+
 def _aligned(
     p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None
-) -> tuple[list[str], list[float], list[float]]:
-    """The sorted domain and the masses of p and q over it.  Without
-    ``alpha`` the two must share one domain; with it they are smoothed on
-    their union domain exactly as ``smooth_pair`` does, without building the
-    smoothed distributions."""
+) -> tuple[list[float], list[float], float, float]:
+    """The masses of p and q over one domain in ``_union`` order, and the
+    totals to divide them by.  Without ``alpha`` the two must share one
+    domain, and the totals are 1.0; with it they are ``_mixed``'s."""
     if alpha is None:
         _check_domains(p, q)
-        domain = sorted(p.masses)
-        return domain, [p.masses[key] for key in domain], [q.masses[key] for key in domain]
+        q_masses = q.masses
+        return list(p.masses.values()), [q_masses[key] for key in p.masses], 1.0, 1.0
     _check_alpha(alpha)
-    return _smoothed_masses(p.masses, q.masses, alpha)
+    return _mixed(p.masses, q.masses, alpha)
 
 
 def kl(
@@ -45,25 +80,35 @@ def kl(
     """sum_x p(x) log2(p(x) / q(x)), in bits.  Asymmetric, >= 0.
 
     Terms with p(x) == 0 vanish (0 log 0 := 0 by continuity).  p(x) > 0 with
-    q(x) == 0 would be infinite and raises UnsmoothedZeroError instead.
-    With ``alpha``, equals ``kl(*smooth_pair(p, q, alpha))``.  With
-    ``symmetrize``, returns ``0.5 * (kl(p, q, alpha) + kl(q, p, alpha))``
-    from one alignment of the pair, checking the direction p -> q first.
+    q(x) == 0 would be infinite and raises UnsmoothedZeroError instead,
+    naming the first such key in sorted order.  With ``alpha``, equals
+    ``kl(*smooth_pair(p, q, alpha))``.  With ``symmetrize``, returns
+    ``0.5 * (kl(p, q, alpha) + kl(q, p, alpha))`` from one alignment of the
+    pair, checking the direction p -> q first.
     """
-    domain, p_masses, q_masses = _aligned(p, q, alpha)
-    forward = _kl_sum(domain, p_masses, q_masses)
-    if not symmetrize:
-        return forward
-    return 0.5 * (forward + _kl_sum(domain, q_masses, p_masses))
+    p_mixed, q_mixed, p_total, q_total = _aligned(p, q, alpha)
+    p_bar = [mass / p_total for mass in p_mixed]
+    q_bar = [mass / q_total for mass in q_mixed]
+    directions = ((p_bar, q_bar), (q_bar, p_bar)) if symmetrize else ((p_bar, q_bar),)
+    sums = [_kl_sum(source, target) for source, target in directions]
+    if None in sums:
+        keys = _union(p.masses, q.masses)
+        for source, target in directions:
+            for key, source_mass, target_mass in sorted(zip(keys, source, target)):
+                if source_mass != 0.0 and target_mass == 0.0:
+                    raise UnsmoothedZeroError(f"unsmoothed zero at key {key!r}")
+    return sums[0] if not symmetrize else 0.5 * (sums[0] + sums[1])
 
 
-def _kl_sum(domain: list[str], p_masses: list[float], q_masses: list[float]) -> float:
+def _kl_sum(p_masses: list[float], q_masses: list[float]) -> float | None:
+    """sum p log2(p / q) over aligned masses; None where a q is zero and
+    its p is not."""
     terms = []
-    for key, p_mass, q_mass in zip(domain, p_masses, q_masses):
+    for p_mass, q_mass in zip(p_masses, q_masses):
         if p_mass == 0.0:
             continue
         if q_mass == 0.0:
-            raise UnsmoothedZeroError(f"unsmoothed zero at key {key!r}")
+            return None
         terms.append(p_mass * math.log2(p_mass / q_mass))
     return math.fsum(terms)
 
@@ -76,9 +121,11 @@ def js(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None = N
     smoothing is needed for this to be defined.  With ``alpha``, equals
     ``js(*smooth_pair(p, q, alpha))``.
     """
-    _, p_masses, q_masses = _aligned(p, q, alpha)
+    p_mixed, q_mixed, p_total, q_total = _aligned(p, q, alpha)
     terms = []
-    for p_mass, q_mass in zip(p_masses, q_masses):
+    for p_mass, q_mass in zip(p_mixed, q_mixed):
+        p_mass /= p_total
+        q_mass /= q_total
         mid = (p_mass + q_mass) / 2.0
         if p_mass > 0.0:
             terms.append(0.5 * p_mass * math.log2(p_mass / mid))

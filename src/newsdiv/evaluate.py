@@ -13,7 +13,15 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, NoReturn, Sequence
 
 from .corpus import Corpus, ImpressionLog, RecommendationList
-from .distrib import DiscreteDistribution, KeyFn, RankWeighting, build_distribution
+from .distrib import (
+    DiscreteDistribution,
+    KeyFn,
+    RankWeighting,
+    _from_pairs,
+    _history_from_pairs,
+    _key_pairs,
+    _KeyPairs,
+)
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
     HISTORY_METRICS,
@@ -145,7 +153,7 @@ def _impression_day(impression: ImpressionLog) -> str:
 
 
 class _ArticleKeys(dict):
-    """Article id -> its key mapping under each per-impression metric,
+    """Article id -> its ``_key_pairs`` under each per-impression metric,
     resolved on first use and kept for the run (the corpus does not change
     meanwhile)."""
 
@@ -154,18 +162,29 @@ class _ArticleKeys(dict):
         self.corpus = corpus
         self.key_fns = key_fns
 
-    def __missing__(self, article_id: str) -> tuple[Mapping[str, float], ...]:
+    def __missing__(self, article_id: str) -> tuple[_KeyPairs, ...]:
         article = self.corpus[article_id]
-        keys = tuple(key_fn(article) for key_fn in self.key_fns)
+        keys = tuple(_key_pairs(key_fn(article)) for key_fn in self.key_fns)
         self[article_id] = keys
         return keys
 
 
+def _built(build: Callable, rows: Sequence[_KeyPairs], weighting: RankWeighting) -> _Built:
+    """``build``'s distribution of ``rows`` (one per item, in rank order)
+    under ``weighting``, or the reason that the samples using it are
+    skipped."""
+    try:
+        return build(weighting.ranked(rows), weighting.scheme)
+    except EmptyDistributionError as exc:
+        return str(exc)
+
+
 class _Scorer:
     """The per-impression samples and skips of every list, with each piece
-    of work done once: article keys once per run, pool contexts once per
-    impression (once per day with daily pools), history contexts once per
-    (impression, weighting) and list distributions once per (list,
+    of work done once: article keys once per run; the keys of a history, a
+    pool and a list once per impression (a pool once per day with daily
+    pools); pool contexts once per impression (or day), history contexts
+    once per (impression, weighting) and list distributions once per (list,
     weighting, cutoff)."""
 
     def __init__(
@@ -178,14 +197,27 @@ class _Scorer:
     ):
         key_fns = metric_keys(metric_config)
         self.metrics = tuple(key_fns)
-        self.from_history = tuple(metric in HISTORY_METRICS for metric in self.metrics)
         self.keys = _ArticleKeys(corpus, tuple(key_fns.values()))
-        # The key function of each metric over the rows of self.keys.
-        self.row_key_fns = tuple(itemgetter(index) for index in range(len(self.metrics)))
-        self.plans = [
-            (config, [context_builder(metric, config.weighting) for metric in self.metrics])
-            for _, config in grid_configs
+        # What an impression builds is kept in lists, one slot per distinct
+        # (metric, context weighting) and per distinct list weighting of the
+        # grid.  self.contexts: each context slot's metric, whether the
+        # history (else the pool) is its context, and weighting.
+        # self.plans: each grid point's config, list slot and context slot
+        # per metric.
+        context_slots: dict[tuple[int, RankWeighting], int] = {}
+        list_slots: dict[RankWeighting, int] = {}
+        self.plans = []
+        for _, config in grid_configs:
+            slots = []
+            for metric, name in enumerate(self.metrics):
+                _, weighting = context_builder(name, config.weighting)
+                slots.append(context_slots.setdefault((metric, weighting), len(context_slots)))
+            list_slot = list_slots.setdefault(config.weighting, len(list_slots))
+            self.plans.append((config, list_slot, slots))
+        self.contexts = [
+            (metric, self.metrics[metric] in HISTORY_METRICS, weighting) for metric, weighting in context_slots
         ]
+        self.list_weightings = list(list_slots)
         # Each source's config keys, by entry of self.plans and metric.
         self.config_keys = {
             source: [
@@ -195,29 +227,22 @@ class _Scorer:
             for source in sources
         }
         self.day_pools = day_pools
-        self.day_contexts: dict[str, dict[tuple[int, RankWeighting], _Built]] = {}
+        self.day_contexts: dict[str, list[_Built | None]] = {}
         self.rows: defaultdict[tuple, Rows] = defaultdict(new_rows)
 
-    def _built(
-        self,
-        cache: dict[tuple[int, RankWeighting], _Built],
-        build: Callable,
-        ids: Sequence[str],
-        metric: int,
-        weighting: RankWeighting,
-    ) -> _Built:
-        """``build``'s distribution of one metric's keys over the articles
-        ``ids``, or the reason that the samples using it are skipped; kept in
-        ``cache`` under (metric, weighting)."""
-        built = cache.get((metric, weighting))
-        if built is None:
-            rows = [self.keys[article_id] for article_id in ids]
-            try:
-                built = build(rows, self.row_key_fns[metric], weighting)
-            except EmptyDistributionError as exc:
-                built = str(exc)
-            cache[metric, weighting] = built
-        return built
+    def _columns(self, ids: Sequence[str]) -> tuple[Sequence[_KeyPairs], ...]:
+        """Per metric, the ``_key_pairs`` of the articles ``ids``, in order."""
+        keys = self.keys
+        return tuple(zip(*[keys[article_id] for article_id in ids])) or ((),) * len(self.metrics)
+
+    def _pool_contexts(self, ids: Sequence[str]) -> list[_Built | None]:
+        """The context of each pool slot over the articles ``ids``; None at
+        the history slots."""
+        pool = self._columns(ids)
+        return [
+            None if from_history else _built(_from_pairs, pool[metric], weighting)
+            for metric, from_history, weighting in self.contexts
+        ]
 
     def score_impression(
         self, impression: ImpressionLog, entries: Sequence[tuple[str, RecommendationList]]
@@ -227,31 +252,27 @@ class _Scorer:
         id order."""
         if self.day_pools:
             day = _impression_day(impression)
-            pool = self.day_pools[day]
-            pool_contexts = self.day_contexts.setdefault(day, {})
+            pool_contexts = self.day_contexts.get(day)
+            if pool_contexts is None:
+                pool_contexts = self.day_contexts[day] = self._pool_contexts(self.day_pools[day])
         else:
-            pool = impression.candidate_ids
-            pool_contexts = {}
-        history_contexts: dict[tuple[int, RankWeighting], _Built] = {}
+            pool_contexts = self._pool_contexts(impression.candidate_ids)
+        history = self._columns(impression.history)
+        contexts = [
+            _built(_history_from_pairs, history[metric], weighting) if from_history else pool_context
+            for (metric, from_history, weighting), pool_context in zip(self.contexts, pool_contexts)
+        ]
         for source, recommendation in entries:
-            lists: dict[tuple[int, RankWeighting], _Built] = {}
-            for (config, context_builders), keys in zip(self.plans, self.config_keys[source]):
-                for metric, key in enumerate(keys):
-                    build, weighting = context_builders[metric]
-                    if self.from_history[metric]:
-                        context = self._built(
-                            history_contexts, build, impression.history, metric, weighting
-                        )
-                    else:
-                        context = self._built(pool_contexts, build, pool, metric, weighting)
-                    recommended = self._built(
-                        lists,
-                        build_distribution,
-                        recommendation.ranked_items,
-                        metric,
-                        config.weighting,
+            columns = self._columns(recommendation.ranked_items)
+            lists = [
+                [_built(_from_pairs, column, weighting) for column in columns] for weighting in self.list_weightings
+            ]
+            for (config, list_slot, slots), keys in zip(self.plans, self.config_keys[source]):
+                recommended = lists[list_slot]
+                for metric, slot in enumerate(slots):
+                    self.rows[keys[metric]].add(
+                        impression.impression_id, _sample(contexts[slot], recommended[metric], config)
                     )
-                    self.rows[key].add(impression.impression_id, _sample(context, recommended, config))
 
 
 # Lists x grid points from which per-impression scoring runs in a forked

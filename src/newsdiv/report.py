@@ -15,6 +15,7 @@ All writers emit byte-identical output for identical input.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -60,12 +61,33 @@ def write_report(
 
 def write_samples_csv(rows: Mapping[tuple, Rows], path: str | Path) -> None:
     """One line per sample, in the order of ``rows`` and of each
-    configuration's samples."""
+    configuration's samples.
+
+    The lines are those of a ``csv.writer`` with ``QUOTE_MINIMAL``: each
+    configuration's key columns are formatted by one once, and a pair id
+    only if it holds a character that the writer might quote."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+
+    def fields(*values: object) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(values)
+        return buffer.getvalue()[:-1]
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(SAMPLE_COLUMNS)
+        handle.write(fields(*SAMPLE_COLUMNS) + "\n")
         for key, both in rows.items():
-            writer.writerows((*key, pair_id, repr(value)) for pair_id, value in zip(*both.samples))
+            prefix = fields(*key)
+            handle.writelines(
+                f"{prefix},{fields(pair_id) if _quotable(pair_id) else pair_id},{value!r}\n"
+                for pair_id, value in zip(*both.samples)
+            )
+
+
+def _quotable(text: str) -> bool:
+    """Whether a ``csv.writer`` might quote ``text``."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def read_samples_csv(path: str | Path) -> list[SampleRow]:

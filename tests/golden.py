@@ -62,6 +62,10 @@ CASES = {
     "world-sweep": (None, WORLD_SWEEP),
     "world-sweep-daily": (None, [*WORLD_SWEEP, "--pool", "daily"]),
     "fixtures-enrich": (None, ["enrich", *FIXTURE_INPUTS]),
+    # A recommender name that samples.csv must quote.
+    "fixtures-quoted-name": (
+        None, ["evaluate", *FIXTURE_INPUTS, "--external", 'm,"x"=fixtures/recommendations.jsonl']
+    ),
 }
 
 

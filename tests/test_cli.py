@@ -210,18 +210,36 @@ class TestEvaluateVariants:
         ]
         assert changed
 
-    def test_kl_without_smoothing_is_an_internal_error(self, fixture_paths, tmp_path):
-        # disjoint story chains make unsmoothed KL infinite, which raises
+    def test_kl_without_smoothing_is_a_usage_error(self, fixture_paths, tmp_path, capsys):
+        # disjoint story chains would make unsmoothed KL infinite
+        out_dir = tmp_path / "out"
         code = main(
-            [
-                "evaluate",
-                *base_args(
-                    fixture_paths, tmp_path / "out",
-                    "--cutoffs", "0", "--divergence", "kl", "--alpha", "0",
-                ),
-            ]
+            ["evaluate", *base_args(fixture_paths, out_dir, "--cutoffs", "0", "--divergence", "kl", "--alpha", "0")]
         )
-        assert code == 2
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --alpha 0 leaves kl infinite")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("evaluate", ["--divergence", "kl"]),
+            ("sensitivity", []),
+            ("sensitivity", ["--divergences", "js,kl"]),
+        ],
+    )
+    def test_kl_at_alpha_zero_is_rejected_before_any_input_is_read(self, tmp_path, capsys, command, flags):
+        missing = str(tmp_path / "missing")
+        argv = [command, "--news", missing, "--behaviors", missing, "--alpha", "0", *flags]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "not found" not in err
+
+    @pytest.mark.parametrize(
+        "command,flags", [("evaluate", ["--divergence", "js"]), ("sensitivity", ["--divergences", "js"])]
+    )
+    def test_js_at_alpha_zero_still_runs(self, fixture_paths, tmp_path, command, flags):
+        assert main([command, *base_args(fixture_paths, tmp_path / "out", "--alpha", "0", *flags)]) == 0
 
     def test_kl_smooths_each_scored_pair_once(self, fixture_paths, tmp_path, monkeypatch):
         # symmetrized KL (fragmentation) takes both directions from one alignment
@@ -235,7 +253,7 @@ class TestEvaluateVariants:
             return wrapper
 
         divergence, metrics = newsdiv.divergence, newsdiv.metrics
-        monkeypatch.setattr(divergence, "_smoothed_masses", counting("smoothed", divergence._smoothed_masses))
+        monkeypatch.setattr(divergence, "_mixed", counting("smoothed", divergence._mixed))
         monkeypatch.setattr(metrics, "kl", counting("kl", metrics.kl))
         monkeypatch.setattr(metrics, "pair_divergence", counting("pairs", metrics.pair_divergence))
         inputs = [

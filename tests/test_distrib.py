@@ -104,6 +104,20 @@ class TestBuildDistribution:
         truncated = build_distribution(items[:4], keys_of, RankWeighting("mrr"))
         assert with_cutoff.masses == truncated.masses
 
+    @pytest.mark.parametrize("multiplier", [-1.0, math.nan])
+    def test_negative_or_nan_multiplier_rejected(self, multiplier):
+        items = [item("X"), {"keys": {"Y": multiplier}}]
+        with pytest.raises(ValueError, match="key multiplier .* at key 'Y' is not >= 0"):
+            build_distribution(items, keys_of, RankWeighting("none"))
+
+    def test_zero_multiplier_drops_the_key(self):
+        items = [item("X"), {"keys": {"Y": 0.0}}]
+        assert build_distribution(items, keys_of, RankWeighting("none")).masses == {"X": 1.0}
+
+    def test_items_beyond_the_cutoff_are_not_resolved(self):
+        items = [item("X"), {"keys": {"Y": -1.0}}]
+        assert build_distribution(items, keys_of, RankWeighting("none", 1)).masses == {"X": 1.0}
+
     def test_all_keyless_is_an_error(self):
         with pytest.raises(EmptyDistributionError, match="empty distribution"):
             build_distribution([item(), item()], keys_of, RankWeighting("none"))
@@ -227,6 +241,16 @@ class TestDiscreteDistribution:
     def test_from_weights_normalizes(self):
         dist = DiscreteDistribution.from_weights({"a": 2.0, "b": 6.0})
         assert dist.mass("a") == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("masses", [{"a": math.nan}, {"a": 1.0, "b": math.nan}, {"a": math.inf}])
+    def test_nan_or_infinite_mass_rejected(self, masses):
+        with pytest.raises(ValueError, match="masses sum to"):
+            DiscreteDistribution(masses)
+
+    @pytest.mark.parametrize("weights", [{"a": 1.0, "b": math.inf}, {"a": 1.0, "b": math.nan}])
+    def test_from_weights_rejects_nan_or_infinite_weights(self, weights):
+        with pytest.raises(ValueError):
+            DiscreteDistribution.from_weights(weights)
 
     def test_from_weights_rejects_zero_total(self):
         with pytest.raises(EmptyDistributionError):

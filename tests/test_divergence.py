@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -185,3 +186,93 @@ class TestSmoothedFlow:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError, match="alpha"):
             js(dist(1.0), dist(1.0), 0.5)
+
+
+# The sorted-domain formulas that js and kl used before their pair kernel,
+# kept here as the reference that the kernel must match bit for bit.
+def sorted_reference_masses(p, q, alpha):
+    if alpha is None:
+        domain = sorted(p.masses)
+        return domain, [p.masses[key] for key in domain], [q.masses[key] for key in domain]
+    domain = sorted(p.masses.keys() | q.masses.keys())
+    keep = 1.0 - alpha
+    p_mixed = [keep * p.masses.get(key, 0.0) + alpha * q.masses.get(key, 0.0) for key in domain]
+    q_mixed = [keep * q.masses.get(key, 0.0) + alpha * p.masses.get(key, 0.0) for key in domain]
+    p_total = math.fsum(p_mixed)
+    q_total = math.fsum(q_mixed)
+    return domain, [value / p_total for value in p_mixed], [value / q_total for value in q_mixed]
+
+
+def sorted_reference_kl_sum(domain, p_masses, q_masses):
+    terms = []
+    for key, p_mass, q_mass in zip(domain, p_masses, q_masses):
+        if p_mass == 0.0:
+            continue
+        if q_mass == 0.0:
+            raise UnsmoothedZeroError(f"unsmoothed zero at key {key!r}")
+        terms.append(p_mass * math.log2(p_mass / q_mass))
+    return math.fsum(terms)
+
+
+def sorted_reference(kind, p, q, alpha):
+    domain, p_masses, q_masses = sorted_reference_masses(p, q, alpha)
+    if kind == "js":
+        terms = []
+        for p_mass, q_mass in zip(p_masses, q_masses):
+            mid = (p_mass + q_mass) / 2.0
+            if p_mass > 0.0:
+                terms.append(0.5 * p_mass * math.log2(p_mass / mid))
+            if q_mass > 0.0:
+                terms.append(0.5 * q_mass * math.log2(q_mass / mid))
+        total = math.fsum(terms)
+        return math.sqrt(total) if total > 0.0 else 0.0
+    forward = sorted_reference_kl_sum(domain, p_masses, q_masses)
+    if kind == "kl":
+        return forward
+    return 0.5 * (forward + sorted_reference_kl_sum(domain, q_masses, p_masses))
+
+
+def outcome(function, *args):
+    """float.hex of the value, or the error's type and message."""
+    try:
+        return float.hex(function(*args))
+    except (UnsmoothedZeroError, ZeroDivisionError) as exc:  # the latter from subnormal masses
+        return type(exc).__name__, str(exc)
+
+
+def over(keys):
+    """Distributions over exactly ``keys``, zero and subnormal masses included."""
+    weights = st.fixed_dictionaries({key: st.just(0.0) | st.floats(0.0, 10.0) for key in keys})
+    return weights.filter(lambda w: math.fsum(w.values()) > 0.0).map(DiscreteDistribution.from_weights)
+
+
+def subsets(letters, max_size=None):
+    return st.lists(st.sampled_from(letters), min_size=1, max_size=max_size, unique=True)
+
+
+PAIRS = st.one_of(
+    st.tuples(DISTRIBUTIONS, DISTRIBUTIONS),
+    subsets("abcdef").flatmap(lambda keys: st.tuples(over(keys), over(keys))),
+    st.tuples(subsets("abc").flatmap(over), subsets("def").flatmap(over)),
+    st.tuples(subsets("abcdef", 1).flatmap(over), DISTRIBUTIONS),
+    st.tuples(DISTRIBUTIONS, subsets("abcdef", 1).flatmap(over)),
+    st.tuples(subsets("abc", 1).flatmap(over), subsets("def", 1).flatmap(over)),
+)
+
+
+class TestKernelAgainstSortedFormulas:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        pair=PAIRS,
+        alpha=st.sampled_from([None, 0.0, 0.001, 0.2, 0.49]) | st.floats(0.0, 0.49),
+    )
+    def test_bit_identical(self, pair, alpha):
+        p, q = pair
+        if alpha is None:
+            assume(p.masses.keys() == q.masses.keys())
+        for left, right in ((p, q), (q, p)):
+            assert outcome(js, left, right, alpha) == outcome(sorted_reference, "js", left, right, alpha)
+            assert outcome(kl, left, right, alpha) == outcome(sorted_reference, "kl", left, right, alpha)
+            assert outcome(partial(kl, symmetrize=True), left, right, alpha) == outcome(
+                sorted_reference, "symmetrized kl", left, right, alpha
+            )

@@ -549,10 +549,16 @@ class TestForkedScoring:
         assert str(forked.value) == str(inline.value)
 
     def test_cli_internal_error_unchanged(self, synthetic_world, forks, monkeypatch, capsys, tmp_path):
+        # The CLI rejects kl at --alpha 0, so the per-impression half fails
+        # here as unsmoothed kl would.
+        def unsmoothed(*args):
+            raise UnsmoothedZeroError("unsmoothed zero at key 'politics'")
+
+        monkeypatch.setattr(evaluate_module, "_sample", unsmoothed)
         args = [
             "evaluate",
             *(arg for role in ("news", "bodies", "behaviors") for arg in (f"--{role}", str(synthetic_world[role]))),
-            "--divergence", "kl", "--alpha", "0", "--cutoffs", "0",
+            "--divergence", "kl", "--cutoffs", "0",
         ]
         assert main([*args, "--out", str(tmp_path / "forked")]) == 2
         forked = capsys.readouterr().err
@@ -560,7 +566,7 @@ class TestForkedScoring:
         self.inline(monkeypatch)
         assert main([*args, "--out", str(tmp_path / "inline")]) == 2
         assert capsys.readouterr().err == forked
-        assert forked.startswith("internal error: UnsmoothedZeroError: ")
+        assert forked == "internal error: UnsmoothedZeroError: unsmoothed zero at key 'politics'\n"
 
     def test_fork_failure_falls_back_to_inline(self, world, forks, monkeypatch):
         corpus, impressions = world
