@@ -122,6 +122,20 @@ def js(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None = N
     ``js(*smooth_pair(p, q, alpha))``.
     """
     p_mixed, q_mixed, p_total, q_total = _aligned(p, q, alpha)
+    try:
+        total = _js_sum(p_mixed, q_mixed, p_total, q_total)
+    except ZeroDivisionError:
+        # mid underflows to 0.0 only where one side holds 5e-324 and the
+        # other 0.0; that term's exact value, 0.5 * 5e-324, rounds to 0.0.
+        kept = [(p_mass, q_mass) for p_mass, q_mass in zip(p_mixed, q_mixed)
+                if (p_mass / p_total + q_mass / q_total) / 2.0 > 0.0]
+        total = _js_sum([pair[0] for pair in kept], [pair[1] for pair in kept], p_total, q_total)
+    # tiny negative totals are rounding noise from p == q
+    return math.sqrt(total) if total > 0.0 else 0.0
+
+
+def _js_sum(p_mixed: list[float], q_mixed: list[float], p_total: float, q_total: float) -> float:
+    """The Jensen-Shannon divergence of masses to divide by their totals."""
     terms = []
     for p_mass, q_mass in zip(p_mixed, q_mixed):
         p_mass /= p_total
@@ -131,9 +145,7 @@ def js(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float | None = N
             terms.append(0.5 * p_mass * math.log2(p_mass / mid))
         if q_mass > 0.0:
             terms.append(0.5 * q_mass * math.log2(q_mass / mid))
-    total = math.fsum(terms)
-    # tiny negative totals are rounding noise from p == q
-    return math.sqrt(total) if total > 0.0 else 0.0
+    return math.fsum(terms)
 
 
 def _generator_kl(t: float) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import (Article, Corpus, ImpressionLog, check_unique, read_lines, read_records,
-                     write_records)
+from .corpus import (Article, Corpus, ImpressionLog, check_unique, id_table, read_lines,
+                     read_records, write_records)
 from .errors import ParseError, ValidationError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -66,7 +66,9 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
     """Polarity lexicon TSV ``token <tab> polarity`` with polarity in [-1, 1].
 
     Tokens match case-insensitively, so a token listed twice, in any case,
-    is a ParseError."""
+    is a ParseError.  So is a token that, lower-cased, is not one run of
+    ``[a-z0-9]``: :func:`tokenize` yields no other tokens, so it could never
+    match."""
     path = Path(path)
     lexicon: dict[str, float] = {}
     first_lines: dict[str, int] = {}
@@ -81,6 +83,10 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
             raise ParseError(f"{path}:{lineno}: invalid polarity {polarity_text!r}") from None
         if not -1.0 <= polarity <= 1.0:
             raise ParseError(f"{path}:{lineno}: polarity {polarity} outside [-1, 1]")
+        if not _TOKEN_RE.fullmatch(token.lower()):
+            raise ParseError(
+                f"{path}:{lineno}: token {token!r} is not one run of [a-z0-9] and can never match"
+            )
         token = token.lower()
         check_unique(first_lines, token, path, lineno, "token", ParseError)
         lexicon[token] = polarity
@@ -260,13 +266,19 @@ def chain_articles(
     Returns article id -> chain id.
     """
     check_chaining(tau, window_seconds)
-    document_tokens = {article.id: tokenize(article.text()) for article in articles}
-    frequency: dict[str, int] = {}
+    # Every occurrence of a token maps to one string for the whole call, so
+    # the token lists, vectors, chain sums and ``holders`` grow with the
+    # vocabulary, not with the occurrences.
+    canonical = id_table()
+    document_tokens = {article.id: list(map(canonical, tokenize(article.text()))) for article in articles}
+    del canonical
+    idf: dict[str, float] = {}  # document frequencies, then their IDF in place
     for tokens in document_tokens.values():
         for token in set(tokens):
-            frequency[token] = frequency.get(token, 0) + 1
+            idf[token] = idf.get(token, 0) + 1
     total = len(articles)
-    idf = {token: math.log((1 + total) / (1 + df)) + 1.0 for token, df in frequency.items()}
+    for token, df in idf.items():
+        idf[token] = math.log((1 + total) / (1 + df)) + 1.0
 
     chains: list[_Chain] = []
     holders: dict[str, list[int]] = {}  # token -> positions of the chains holding it

@@ -1,7 +1,6 @@
 """Deterministic child seeds, stable across platforms and runs."""
 from __future__ import annotations
 
-import hashlib
 import random
 
 
@@ -12,6 +11,10 @@ def derive_seed(seed: int, label: str) -> int:
     recommender of impression I17) never shifts when another purpose draws
     more or fewer values.
     """
+    # Imported here: hashlib maps OpenSSL, which a run that draws no seed
+    # (enrich, the loaders, the popular recommender) never needs.
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -62,6 +62,8 @@ CASES = {
     "world-sweep": (None, WORLD_SWEEP),
     "world-sweep-daily": (None, [*WORLD_SWEEP, "--pool", "daily"]),
     "fixtures-enrich": (None, ["enrich", *FIXTURE_INPUTS]),
+    # Enrichment beyond fixture size: story chains, tags and activation.
+    "world-enrich": (None, ["enrich", *WORLD_INPUTS]),
     # A recommender name that samples.csv must quote.
     "fixtures-quoted-name": (
         None, ["evaluate", *FIXTURE_INPUTS, "--external", 'm,"x"=fixtures/recommendations.jsonl']

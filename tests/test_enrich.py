@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -94,6 +95,21 @@ class TestActivation:
         message = f"{path}:3: duplicate token 'great' (first on line 1)"
         with pytest.raises(ParseError, match=re.escape(message)):
             load_lexicon(path)
+
+    @pytest.mark.parametrize("token", ["don't", "multi word", "café", "x-ray", "a_b"])
+    def test_lexicon_token_that_can_never_match_is_rejected(self, tmp_path, token):
+        """tokenize yields only runs of [a-z0-9], so any other token would
+        load and never score."""
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(f"great\t0.8\n{token}\t-0.5\n", encoding="utf-8")
+        message = f"{path}:2: token {token!r} is not one run of [a-z0-9] and can never match"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_lexicon(path)
+
+    def test_lexicon_token_matches_in_any_case(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("COVID19\t-0.5\n", encoding="utf-8")
+        assert load_lexicon(path) == {"covid19": -0.5}
 
     @given(st.text(max_size=200))
     def test_range_on_arbitrary_text(self, text):
@@ -240,6 +256,28 @@ class TestChaining:
     def test_negative_or_nan_window_rejected(self, window):
         with pytest.raises(ValueError, match="chaining window"):
             chain_articles([], window_seconds=window)
+
+    def test_memory_grows_with_the_vocabulary_not_the_occurrences(self):
+        """Repeating every word of every body eleven times adds 80,000 token
+        occurrences; the heap peak may grow by at most 16 bytes for each,
+        about one list slot, because every occurrence of a token shares
+        one string."""
+
+        def peak(repeats):
+            articles = [
+                article(f"a{number}", " ".join([f"w{(number + word) % 300}" for word in range(40)] * repeats),
+                        number * HOUR)
+                for number in range(200)
+            ]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                chain_articles(articles)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(11) - peak(1)) / (200 * 40 * 10) <= 16
 
     @settings(max_examples=200, deadline=None)
     @given(
