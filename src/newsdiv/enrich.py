@@ -114,24 +114,23 @@ class GazetteerEntry:
 
 
 class Gazetteer:
-    """Alias table for entity tagging; aliases are matched case-insensitively
-    on word boundaries, every occurrence counting as one mention."""
+    """Alias table for entity tagging: aliases match case-insensitively
+    where no word character adjoins them, each occurrence one mention."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         self.entries = tuple(entries)
         self._by_id = {entry.canonical_id: entry for entry in self.entries}
         if len(self._by_id) < len(self.entries):
             raise ParseError("duplicate gazetteer ids")
-        # A match of \b<alias>\b for an alias opening with a word character
-        # starts where one of the text's \w+ runs equals the alias's leading
-        # \w+ run (its lead word), so patterns are indexed by lead word.
-        # Aliases opening with any other character are always tried.
+        # No word character adjoins a match, so an alias's first \w+ run (its
+        # lead word) is one of the text's \w+ runs: patterns are indexed by
+        # lead word.  Aliases without a word character are always tried.
         self._by_lead: dict[str, list[tuple[int, re.Pattern[str]]]] = {}
         self._unindexed: list[tuple[int, re.Pattern[str]]] = []
         for index, entry in enumerate(self.entries):
-            for alias in entry.aliases:
-                pattern = re.compile(r"\b" + re.escape(alias) + r"\b")
-                lead = _WORD_RE.match(alias)
+            for alias in map(str.lower, entry.aliases):
+                pattern = re.compile(r"(?<!\w)" + re.escape(alias) + r"(?!\w)")
+                lead = _WORD_RE.search(alias)
                 if lead is None:
                     self._unindexed.append((index, pattern))
                 else:
@@ -168,12 +167,12 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
         kind = record.get("kind", str, None)
         if kind not in ("person", "party"):
             raise ParseError(f"{record.where}: kind must be 'person' or 'party', got {kind!r}")
-        aliases = [alias.lower() for alias in record.get("aliases", list, [])]
+        aliases = record.get("aliases", list, [])
         if not aliases or not all(aliases):
             raise ParseError(f"{record.where}: aliases must be non-empty")
         check_unique(first_lines, canonical_id, path, record.lineno, "gazetteer id", ParseError)
         for alias in aliases:
-            check_unique(alias_lines, alias, path, record.lineno, "alias", ParseError)
+            check_unique(alias_lines, alias.lower(), path, record.lineno, "alias", ParseError)
         entries.append(
             GazetteerEntry(
                 canonical_id=canonical_id,

@@ -25,10 +25,10 @@ from .distrib import (
 from .errors import EmptyDistributionError, ValidationError
 from .metrics import (
     HISTORY_METRICS,
+    SUPPLY_WEIGHTING,
     MetricConfig,
     Rows,
     _sample,
-    context_builder,
     metric_keys,
     new_rows,
     sample_fragmentation,
@@ -184,8 +184,8 @@ class _Scorer:
     of work done once: article keys once per run; the keys of a history, a
     pool and a list once per impression (a pool once per day with daily
     pools); pool contexts once per impression (or day), history contexts
-    once per (impression, weighting) and list distributions once per (list,
-    weighting, cutoff)."""
+    once per (impression, history weighting) and list distributions once
+    per (list, list weighting)."""
 
     def __init__(
         self,
@@ -198,34 +198,14 @@ class _Scorer:
         key_fns = metric_keys(metric_config)
         self.metrics = tuple(key_fns)
         self.keys = _ArticleKeys(corpus, tuple(key_fns.values()))
-        # What an impression builds is kept in lists, one slot per distinct
-        # (metric, context weighting) and per distinct list weighting of the
-        # grid.  self.contexts: each context slot's metric, whether the
-        # history (else the pool) is its context, and weighting.
-        # self.plans: each grid point's config, list slot and context slot
-        # per metric.
-        context_slots: dict[tuple[int, RankWeighting], int] = {}
-        list_slots: dict[RankWeighting, int] = {}
-        self.plans = []
-        for _, config in grid_configs:
-            slots = []
-            for metric, name in enumerate(self.metrics):
-                _, weighting = context_builder(name, config.weighting)
-                slots.append(context_slots.setdefault((metric, weighting), len(context_slots)))
-            list_slot = list_slots.setdefault(config.weighting, len(list_slots))
-            self.plans.append((config, list_slot, slots))
-        self.contexts = [
-            (metric, self.metrics[metric] in HISTORY_METRICS, weighting) for metric, weighting in context_slots
-        ]
-        self.list_weightings = list(list_slots)
-        # Each source's config keys, by entry of self.plans and metric.
-        self.config_keys = {
-            source: [
-                [_config_key(metric, source, point) for metric in self.metrics]
-                for point, _ in grid_configs
-            ]
-            for source in sources
-        }
+        # The grid points by list weighting, each group with its history
+        # weighting (a history is never cut off) and its points' configs,
+        # each with every source's config keys per metric.
+        groups: dict[RankWeighting, list[tuple[MetricConfig, dict[str, list[tuple]]]]] = {}
+        for point, config in grid_configs:
+            keys = {source: [_config_key(metric, source, point) for metric in self.metrics] for source in sources}
+            groups.setdefault(config.weighting, []).append((config, keys))
+        self.groups = [(weighting, weighting.without_cutoff(), points) for weighting, points in groups.items()]
         self.day_pools = day_pools
         self.day_contexts: dict[str, list[_Built | None]] = {}
         self.rows: defaultdict[tuple, Rows] = defaultdict(new_rows)
@@ -236,12 +216,11 @@ class _Scorer:
         return tuple(zip(*[keys[article_id] for article_id in ids])) or ((),) * len(self.metrics)
 
     def _pool_contexts(self, ids: Sequence[str]) -> list[_Built | None]:
-        """The context of each pool slot over the articles ``ids``; None at
-        the history slots."""
-        pool = self._columns(ids)
+        """Per metric, its context over the pool of articles ``ids``, not
+        discounted; None for the metrics whose context is the history."""
         return [
-            None if from_history else _built(_from_pairs, pool[metric], weighting)
-            for metric, from_history, weighting in self.contexts
+            None if metric in HISTORY_METRICS else _built(_from_pairs, column, SUPPLY_WEIGHTING)
+            for metric, column in zip(self.metrics, self._columns(ids))
         ]
 
     def score_impression(
@@ -258,21 +237,23 @@ class _Scorer:
         else:
             pool_contexts = self._pool_contexts(impression.candidate_ids)
         history = self._columns(impression.history)
-        contexts = [
-            _built(_history_from_pairs, history[metric], weighting) if from_history else pool_context
-            for (metric, from_history, weighting), pool_context in zip(self.contexts, pool_contexts)
-        ]
+        contexts_by_weighting: dict[RankWeighting, list[_Built]] = {}
+        for _, history_weighting, _ in self.groups:
+            if history_weighting not in contexts_by_weighting:
+                contexts_by_weighting[history_weighting] = [
+                    _built(_history_from_pairs, column, history_weighting) if context is None else context
+                    for column, context in zip(history, pool_contexts)
+                ]
+        impression_id = impression.impression_id
+        rows = self.rows
         for source, recommendation in entries:
             columns = self._columns(recommendation.ranked_items)
-            lists = [
-                [_built(_from_pairs, column, weighting) for column in columns] for weighting in self.list_weightings
-            ]
-            for (config, list_slot, slots), keys in zip(self.plans, self.config_keys[source]):
-                recommended = lists[list_slot]
-                for metric, slot in enumerate(slots):
-                    self.rows[keys[metric]].add(
-                        impression.impression_id, _sample(contexts[slot], recommended[metric], config)
-                    )
+            for weighting, history_weighting, points in self.groups:
+                contexts = contexts_by_weighting[history_weighting]
+                lists = [_built(_from_pairs, column, weighting) for column in columns]
+                for config, keys in points:
+                    for key, context, recommended in zip(keys[source], contexts, lists):
+                        rows[key].add(impression_id, _sample(context, recommended, config))
 
 
 # Lists x grid points from which per-impression scoring runs in a forked

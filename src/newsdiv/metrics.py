@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, MutableSequence, NamedTuple, Sequence
+from typing import Mapping, MutableSequence, NamedTuple, Sequence
 
 from .corpus import Article
 from .distrib import (
@@ -118,16 +118,6 @@ def metric_keys(config: MetricConfig) -> dict[str, KeyFn]:
 HISTORY_METRICS = frozenset({"calibration_topic", "calibration_complexity"})
 
 
-def context_builder(metric: str, weighting: RankWeighting) -> tuple[Callable, RankWeighting]:
-    """How a per-impression metric builds its context for a list weighted by
-    ``weighting``: the function (called with items and a key function) and
-    its weighting.  A reading history is discounted like the list but never
-    cut off, and must not be empty; a candidate pool is not discounted."""
-    if metric in HISTORY_METRICS:
-        return history_distribution, weighting.without_cutoff()
-    return build_distribution, SUPPLY_WEIGHTING
-
-
 def pair_divergence(
     context: DiscreteDistribution,
     recommendation: DiscreteDistribution,
@@ -168,8 +158,12 @@ def _per_impression(
     config: MetricConfig,
 ) -> float:
     key_fn = metric_keys(config)[metric]
-    build, context_weighting = context_builder(metric, config.weighting)
-    context = build(context_items, key_fn, context_weighting)
+    if metric in HISTORY_METRICS:
+        # A reading history is discounted like the list but never cut off,
+        # and must not be empty; a candidate pool is not discounted.
+        context = history_distribution(context_items, key_fn, config.weighting.without_cutoff())
+    else:
+        context = build_distribution(context_items, key_fn, SUPPLY_WEIGHTING)
     recommendation = build_distribution(recommended, key_fn, config.weighting)
     return pair_divergence(context, recommendation, config)
 

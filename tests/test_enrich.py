@@ -325,7 +325,7 @@ def reference_mention_counts(gazetteer, text):
     counts = {}
     for entry in gazetteer.entries:
         mentions = sum(
-            len(re.findall(r"\b" + re.escape(alias) + r"\b", lowered)) for alias in entry.aliases
+            len(re.findall(r"(?<!\w)" + re.escape(alias) + r"(?!\w)", lowered)) for alias in entry.aliases
         )
         if mentions:
             counts[entry.canonical_id] = mentions
@@ -384,6 +384,25 @@ class TestEntities:
         gazetteer = load_gazetteer(fixture_paths["gazetteer"])
         actors, _, _ = tag_entities("The disunity party failed.", gazetteer)
         assert "Q-UNITY" not in actors
+
+    def test_aliases_bounded_by_punctuation_match_ordinary_mentions(self):
+        gazetteer = Gazetteer(
+            [
+                GazetteerEntry("US", "party", ("u.s.",), True, True),
+                GazetteerEntry("NET", "party", (".net",), True, True),
+                GazetteerEntry("CPP", "party", ("c++",), True, True),
+            ]
+        )
+        assert gazetteer.mention_counts("The U.S. said") == {"US": 1}
+        assert gazetteer.mention_counts("use .net daily") == {"NET": 1}
+        assert gazetteer.mention_counts("c++ rocks") == {"CPP": 1}
+        # A word character next to the alias still rules the mention out.
+        assert gazetteer.mention_counts("the U.S.A, x.net and c++x") == {}
+
+    def test_alias_case_is_folded_in_a_directly_built_gazetteer(self):
+        gazetteer = Gazetteer([GazetteerEntry("E1", "person", ("Barack Obama",), True, True)])
+        assert gazetteer.mention_counts("Barack Obama spoke.") == {"E1": 1}
+        assert gazetteer.mention_counts("BARACK OBAMA spoke.") == {"E1": 1}
 
     def test_duplicate_gazetteer_id_rejected(self, tmp_path):
         path = tmp_path / "gaz.jsonl"

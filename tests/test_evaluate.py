@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -243,6 +244,36 @@ class TestEvaluateRecommendations:
         # 2 sources x 10 lists x 2 cutoffs, shared by both divergences
         assert len(builds) == 40
         assert len(set(builds)) == 2
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_scorer_builds_each_context_and_list_once(self, world, monkeypatch, pool):
+        corpus, impressions = world
+        impressions = impressions[:10]
+        recommendations = {
+            source: [recommend_random(impression, seed=seed) for impression in impressions]
+            for source, seed in (("a", 1), ("b", 2), ("c", 3))
+        }
+        monkeypatch.setattr(evaluate_module, "_FORK_MIN_WORK", sys.maxsize)
+        builds = Counter()
+
+        def counting(build):
+            def wrapper(rows, scheme):
+                builds[build.__name__] += 1
+                return build(rows, scheme)
+
+            monkeypatch.setattr(evaluate_module, build.__name__, wrapper)
+
+        counting(evaluate_module._from_pairs)
+        counting(evaluate_module._history_from_pairs)
+        grid = build_grid(["kl", "js"], ["none", "mrr"], [10, 0])
+        evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=1), grid, pool)
+        pools = len(daily_pools(impressions)) if pool == "daily" else len(impressions)
+        # 2 history contexts per impression and history weighting (none, mrr)
+        assert builds["_history_from_pairs"] == 2 * 2 * len(impressions)
+        # 3 pool contexts per impression (or day), and 5 distributions per
+        # list (3 sources x 10) and list weighting (none@10, none@N, mrr@10,
+        # mrr@N)
+        assert builds["_from_pairs"] == 3 * pools + 5 * 4 * 30
 
     def test_partners_drawn_once_per_list_id_set(self, world, monkeypatch):
         corpus, impressions = world
