@@ -360,8 +360,10 @@ def enrich_corpus(
     if impressions is not None:
         assign_missing_timestamps(corpus, impressions)
 
+    # Chaining is greedy, so ties (the norm for stamps taken from impressions)
+    # are broken by id, never by the catalog's line order.
     dated = [article for article in corpus if article.published_at is not None]
-    dated.sort(key=lambda article: article.published_at)
+    dated.sort(key=lambda article: (article.published_at, article.id))
     chain_of = chain_articles(dated, tau=tau, window_seconds=window_seconds)
     undated = len(corpus) - len(dated)
     if undated:
