@@ -6,10 +6,10 @@ import gc
 import os
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Mapping, NoReturn, Sequence
 
 from .corpus import Corpus, ImpressionLog, RecommendationList
@@ -50,41 +50,15 @@ class GridPoint:
         return RankWeighting(self.weighting, self.cutoff if self.cutoff > 0 else None)
 
 
-@dataclass(frozen=True, slots=True)
-class KeyedRow:
-    """The key fields that a sample and a skip share."""
-
-    metric: str
-    recommender: str
-    divergence: str
-    weighting: str
-    cutoff: int
-    pair_id: str
-
-    def row_key(self) -> tuple:
-        return _row_key(self)
-
-
-# The names of the key fields, which are also the key columns of every
-# output file; all of them but the pair id name a report row.
-KEY_COLUMNS = tuple(key_field.name for key_field in fields(KeyedRow))
+# The key columns of every output file, in key order; all of them but the
+# pair id name a report row.
+KEY_COLUMNS = ("metric", "recommender", "divergence", "weighting", "cutoff", "pair_id")
 CONFIG_COLUMNS = KEY_COLUMNS[:-1]
-_row_key = attrgetter(*KEY_COLUMNS)
 
 
 def _config_key(metric: str, source: str, point: GridPoint) -> tuple:
     """The ``CONFIG_COLUMNS`` value of a metric's rows of one source and point."""
     return (metric, source, point.divergence, point.weighting, point.cutoff)
-
-
-@dataclass(frozen=True, slots=True)
-class SampleRow(KeyedRow):
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
-class SkipRow(KeyedRow):
-    reason: str
 
 
 @dataclass
@@ -97,14 +71,14 @@ class EvaluationResult:
     rows: dict[tuple, Rows]
 
     @property
-    def samples(self) -> list[SampleRow]:
-        """The samples as rows in ``KEY_COLUMNS`` order, built on each access."""
-        return [SampleRow(*key, *row) for key, rows in self.rows.items() for row in zip(*rows.samples)]
+    def samples(self) -> list[tuple]:
+        """``(*KEY_COLUMNS, value)`` per sample, in key order, built on each access."""
+        return [(*key, *row) for key, rows in self.rows.items() for row in zip(*rows.samples)]
 
     @property
-    def skips(self) -> list[SkipRow]:
-        """The skips as rows in ``KEY_COLUMNS`` order, built on each access."""
-        return [SkipRow(*key, *row) for key, rows in self.rows.items() for row in zip(*rows.skips)]
+    def skips(self) -> list[tuple]:
+        """``(*KEY_COLUMNS, reason)`` per skip, in key order, built on each access."""
+        return [(*key, *row) for key, rows in self.rows.items() for row in zip(*rows.skips)]
 
     @property
     def sample_count(self) -> int:

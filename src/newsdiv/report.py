@@ -20,13 +20,14 @@ import json
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import Mapping, Sequence
 
 from .corpus import write_lines
-from .evaluate import CONFIG_COLUMNS, KEY_COLUMNS, KeyedRow, SampleRow
+from .evaluate import CONFIG_COLUMNS, KEY_COLUMNS
 from .metrics import Rows, aggregate
 
 SAMPLE_COLUMNS = (*KEY_COLUMNS, "sample")
+_NUMBER_COLUMNS = {"cutoff": int, "sample": float}  # the others are strings
 
 
 def aggregate_rows(rows: Mapping[tuple, Rows]) -> list[dict]:
@@ -90,12 +91,12 @@ def _quotable(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
-def read_samples_csv(path: str | Path) -> list[SampleRow]:
-    """Inverse of :func:`write_samples_csv`; lets callers re-aggregate."""
-    key_types = get_type_hints(KeyedRow)
+def read_samples_csv(path: str | Path) -> list[tuple]:
+    """Inverse of :func:`write_samples_csv`, for re-aggregation: the rows as
+    ``EvaluationResult.samples`` gives them, ``(*KEY_COLUMNS, value)``."""
     with open(path, encoding="utf-8", newline="") as handle:
         return [
-            SampleRow(*(key_types[name](record[name]) for name in KEY_COLUMNS), float(record["sample"]))
+            tuple(_NUMBER_COLUMNS.get(name, str)(record[name]) for name in SAMPLE_COLUMNS)
             for record in csv.DictReader(handle)
         ]
 

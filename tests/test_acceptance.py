@@ -23,6 +23,7 @@ from newsdiv.metrics import (
     representation,
 )
 from newsdiv.report import read_samples_csv
+from views import named_samples
 
 
 def criterion(name):
@@ -156,7 +157,7 @@ def test_generator_equivalence():
 
 @criterion("boundedness (all js samples in [0, 1])")
 def test_js_samples_bounded(world_run):
-    samples = read_samples_csv(world_run["out"] / "samples.csv")
+    samples = named_samples(read_samples_csv(world_run["out"] / "samples.csv"))
     assert samples
     for row in samples:
         assert 0.0 <= row.value <= 1.0, f"{row.metric} sample {row.value} out of bounds"

@@ -17,6 +17,7 @@ from newsdiv.corpus import load_behaviors, load_recommendations
 from newsdiv.enrich import DEFAULT_TAU, DEFAULT_WINDOW_SECONDS
 from newsdiv.metrics import METRIC_NAMES, MetricConfig
 from newsdiv.report import read_samples_csv
+from views import named_samples
 
 
 def base_args(fixture_paths, out_dir, *extra):
@@ -56,7 +57,7 @@ class TestEvaluate:
         assert recommenders == {"random", "popular"}
 
     def test_js_samples_bounded(self, evaluation):
-        for row in read_samples_csv(evaluation / "samples.csv"):
+        for row in named_samples(read_samples_csv(evaluation / "samples.csv")):
             assert row.divergence == "js"
             assert 0.0 <= row.value <= 1.0
 
@@ -67,7 +68,7 @@ class TestEvaluate:
 
     def test_aggregates_recomputable_from_samples(self, evaluation):
         report = json.loads((evaluation / "report.json").read_text())
-        samples = read_samples_csv(evaluation / "samples.csv")
+        samples = named_samples(read_samples_csv(evaluation / "samples.csv"))
         grouped = {}
         for sample in samples:
             key = (sample.metric, sample.recommender, sample.divergence, sample.weighting, sample.cutoff)
@@ -164,7 +165,7 @@ class TestEvaluateVariants:
             ["evaluate", *base_args(fixture_paths, out_dir, "--cutoffs", "0", "--divergence", "kl")]
         )
         assert code == 0
-        for row in read_samples_csv(out_dir / "samples.csv"):
+        for row in named_samples(read_samples_csv(out_dir / "samples.csv")):
             assert row.value >= 0.0
 
     def test_sidecar_changes_results(self, fixture_paths, tmp_path):
@@ -198,11 +199,11 @@ class TestEvaluateVariants:
         assert code == 0
         fine = {
             (r.metric, r.recommender, r.pair_id): r.value
-            for r in read_samples_csv(evaluation / "samples.csv")
+            for r in named_samples(read_samples_csv(evaluation / "samples.csv"))
         }
         coarse = {
             (r.metric, r.recommender, r.pair_id): r.value
-            for r in read_samples_csv(out_dir / "samples.csv")
+            for r in named_samples(read_samples_csv(out_dir / "samples.csv"))
         }
         changed = [
             key for key in fine

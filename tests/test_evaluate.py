@@ -29,9 +29,6 @@ from newsdiv import evaluate as evaluate_module
 from newsdiv.evaluate import (
     POOLS,
     GridPoint,
-    KeyedRow,
-    SampleRow,
-    SkipRow,
     _impression_day,
     build_grid,
     daily_pools,
@@ -49,7 +46,8 @@ from newsdiv.metrics import (
     representation,
 )
 from newsdiv.recommenders import recommend_random
-from newsdiv.report import read_samples_csv
+from newsdiv.report import read_samples_csv, write_samples_csv
+from views import Sample, Skip, named_samples, named_skips, row_key
 from writers import dump_behaviors
 
 
@@ -141,7 +139,7 @@ class TestEvaluateRecommendations:
         for source in ("random", "external:oracle"):
             values = [
                 row.value
-                for row in result.samples
+                for row in named_samples(result.samples)
                 if row.metric == "calibration_topic" and row.recommender == source
             ]
             means[source] = math.fsum(values) / len(values)
@@ -160,7 +158,7 @@ class TestEvaluateRecommendations:
         assert first.skips == second.skips
         keys = [
             (row.metric, row.recommender, row.divergence, row.weighting, row.cutoff, row.pair_id)
-            for row in first.samples
+            for row in named_samples(first.samples)
         ]
         assert keys == sorted(keys)
 
@@ -173,7 +171,7 @@ class TestEvaluateRecommendations:
         grid = build_grid(["js", "kl"], ["mrr"], [5, 0])
         result = evaluate_recommendations(corpus, impressions, recommendations, config, grid)
         pair_ids = {}
-        for row in result.samples:
+        for row in named_samples(result.samples):
             if row.metric == "fragmentation":
                 key = (row.divergence, row.cutoff)
                 pair_ids.setdefault(key, set()).add(row.pair_id)
@@ -314,7 +312,7 @@ class TestEvaluateRecommendations:
         )
 
         def values(result, metric):
-            return [row.value for row in result.samples if row.metric == metric]
+            return [row.value for row in named_samples(result.samples) if row.metric == metric]
 
         assert values(per_impression, "calibration_topic") == values(per_day, "calibration_topic")
         assert values(per_impression, "activation") != values(per_day, "activation")
@@ -355,9 +353,9 @@ def reference_evaluation(corpus, impressions, recommendations_by_source, metric_
                     try:
                         value = metric_fn(context, recommended, config)
                     except EmptyDistributionError as exc:
-                        skips.append(SkipRow(*key, impression.impression_id, str(exc)))
+                        skips.append(Skip(*key, impression.impression_id, str(exc)))
                         continue
-                    samples.append(SampleRow(*key, impression.impression_id, value))
+                    samples.append(Sample(*key, impression.impression_id, value))
         ranked = {
             recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]
             for recommendation in recommendations
@@ -365,7 +363,7 @@ def reference_evaluation(corpus, impressions, recommendations_by_source, metric_
         for point, config in configs:
             key = ("fragmentation", source, point.divergence, point.weighting, point.cutoff)
             if len(ranked) < 2:
-                skips.append(SkipRow(*key, "", "fewer than 2 recommendation lists"))
+                skips.append(Skip(*key, "", "fewer than 2 recommendation lists"))
                 continue
             partners = fragmentation_partners(list(ranked), config.fragmentation_pairs, config.seed)
             for current, partner in partners:
@@ -373,11 +371,11 @@ def reference_evaluation(corpus, impressions, recommendations_by_source, metric_
                 try:
                     value = fragmentation(ranked[current], ranked[partner], config)
                 except EmptyDistributionError as exc:
-                    skips.append(SkipRow(*key, pair_id, str(exc)))
+                    skips.append(Skip(*key, pair_id, str(exc)))
                     continue
-                samples.append(SampleRow(*key, pair_id, value))
-    samples.sort(key=SampleRow.row_key)
-    skips.sort(key=lambda row: (*row.row_key(), row.reason))
+                samples.append(Sample(*key, pair_id, value))
+    samples.sort(key=row_key)
+    skips.sort()  # by key, then reason
     return samples, skips
 
 
@@ -714,9 +712,9 @@ class TestRowOrder:
         result = evaluate_recommendations(
             corpus, short_ids, recommendations, config, build_grid(["js"], ["mrr"], [0])
         )
-        samples, skips = result.samples, result.skips
-        assert samples == sorted(samples, key=KeyedRow.row_key)
-        assert skips == sorted(skips, key=KeyedRow.row_key)
+        samples, skips = named_samples(result.samples), named_skips(result.skips)
+        assert samples == sorted(samples, key=row_key)
+        assert skips == sorted(skips, key=row_key)
         fragmentation_ids = {row.pair_id for row in samples if row.metric == "fragmentation"}
         assert {pair_id.split("|")[0] for pair_id in fragmentation_ids} >= {"I1", "I10"}
         assert {row.metric for row in skips} >= {"fragmentation", "calibration_topic"}
@@ -732,9 +730,19 @@ class TestRowOrder:
         out = tmp_path / "out"
         code = main(["evaluate", *inputs, "--behaviors", str(behaviors), "--seed", "2", "--out", str(out)])
         assert code == 0
-        rows = read_samples_csv(out / "samples.csv")
-        assert rows == sorted(rows, key=KeyedRow.row_key)
+        rows = named_samples(read_samples_csv(out / "samples.csv"))
+        assert rows == sorted(rows, key=row_key)
         assert {row.pair_id.split("|")[0] for row in rows if row.metric == "fragmentation"} >= {"I1", "I10"}
+
+    def test_samples_csv_reads_back_as_the_result_samples(self, world, short_ids, tmp_path):
+        corpus, _ = world
+        recommendations = {"random": [recommend_random(impression, seed=2) for impression in short_ids]}
+        grid = build_grid(["js", "kl"], ["mrr"], [3, 0])
+        result = evaluate_recommendations(corpus, short_ids, recommendations, MetricConfig(seed=2), grid)
+        write_samples_csv(result.rows, tmp_path / "samples.csv")
+        read = read_samples_csv(tmp_path / "samples.csv")
+        assert read == result.samples
+        assert {tuple(map(type, row)) for row in read} == {(str, str, str, str, int, str, float)}
 
 
 class TestMemory:

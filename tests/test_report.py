@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from newsdiv.metrics import Columns, Rows
 from newsdiv.report import SAMPLE_COLUMNS, read_samples_csv, write_samples_csv
+from views import named_samples
 
 # Text with every character that a csv.writer may quote, and some that it does not.
 TEXT = st.text(alphabet=st.sampled_from(list(',"\r\n ab|:\'\t')), max_size=6)
@@ -40,7 +41,7 @@ class TestSamplesCsv:
     def test_quoted_fields_read_back(self, tmp_path):
         rows = {("m", 'external:m,"x"', "js", "mrr", 0): Rows(Columns(["I1", "a,b", 'q"\n'], array("d", [0.5, 0.25, 1.0])), Columns([], []))}
         write_samples_csv(rows, tmp_path / "samples.csv")
-        read = read_samples_csv(tmp_path / "samples.csv")
+        read = named_samples(read_samples_csv(tmp_path / "samples.csv"))
         assert [(row.recommender, row.pair_id, row.value) for row in read] == [
             ('external:m,"x"', "I1", 0.5), ('external:m,"x"', "a,b", 0.25), ('external:m,"x"', 'q"\n', 1.0)
         ]
