@@ -58,6 +58,8 @@ class Article:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("article id must be non-empty")
+        if self.chain_id == "" or "" in self.political_actors:
+            raise ValidationError("chain and actor ids must be non-empty")
         if self.complexity is not None and not 0.0 <= self.complexity <= 100.0:
             raise ValidationError(f"complexity out of range [0, 100]: {self.complexity!r}")
         if self.activation is not None and not 0.0 <= self.activation <= 1.0:

@@ -115,7 +115,8 @@ class GazetteerEntry:
 
 class Gazetteer:
     """Alias table for entity tagging: aliases match case-insensitively
-    where no word character adjoins them, each occurrence one mention."""
+    where no word character adjoins them, each occurrence one mention.  An
+    id or an alias (after case folding) listed twice is a ParseError."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         self.entries = tuple(entries)
@@ -127,8 +128,12 @@ class Gazetteer:
         # lead word.  Aliases without a word character are always tried.
         self._by_lead: dict[str, list[tuple[int, re.Pattern[str]]]] = {}
         self._unindexed: list[tuple[int, re.Pattern[str]]] = []
+        seen: set[str] = set()
         for index, entry in enumerate(self.entries):
             for alias in map(str.lower, entry.aliases):
+                if alias in seen:
+                    raise ParseError(f"duplicate gazetteer alias {alias!r}")
+                seen.add(alias)
                 pattern = re.compile(r"(?<!\w)" + re.escape(alias) + r"(?!\w)")
                 lead = _WORD_RE.search(alias)
                 if lead is None:
@@ -164,6 +169,8 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     alias_lines: dict[str, int] = {}
     for record in read_records(path):
         canonical_id = record.get("canonical_id", str)
+        if not canonical_id:
+            raise ParseError(f"{record.where}: empty 'canonical_id'")
         kind = record.get("kind", str, None)
         if kind not in ("person", "party"):
             raise ParseError(f"{record.where}: kind must be 'person' or 'party', got {kind!r}")

@@ -404,6 +404,20 @@ class TestEntities:
         assert gazetteer.mention_counts("Barack Obama spoke.") == {"E1": 1}
         assert gazetteer.mention_counts("BARACK OBAMA spoke.") == {"E1": 1}
 
+    @pytest.mark.parametrize(
+        "aliases", [[("Obama", "obama")], [("Obama",), ("OBAMA",)]], ids=["one-entry", "two-entries"]
+    )
+    def test_alias_repeated_after_case_folding_rejected_in_a_directly_built_gazetteer(self, aliases):
+        entries = [GazetteerEntry(f"E{number}", "person", names, False, False) for number, names in enumerate(aliases)]
+        with pytest.raises(ParseError, match="duplicate gazetteer alias 'obama'"):
+            Gazetteer(entries)
+
+    def test_empty_canonical_id_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "gaz.jsonl"
+        path.write_text(json.dumps({"canonical_id": "", "kind": "person", "aliases": ["ann kovac"]}) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: empty 'canonical_id'$"):
+            load_gazetteer(path)
+
     def test_duplicate_gazetteer_id_rejected(self, tmp_path):
         path = tmp_path / "gaz.jsonl"
         record = {"canonical_id": "X", "kind": "person", "aliases": ["x y"],
@@ -427,12 +441,17 @@ class TestEntities:
         st.lists(st.one_of(ALIASES, st.sampled_from(SEPARATORS), st.text(TEXT_CHARS, max_size=4))),
     )
     def test_indexed_lookup_matches_every_alias_scan(self, drafts, pieces):
-        gazetteer = Gazetteer(
-            [
-                GazetteerEntry(f"E{number}", kind, tuple(aliases), political, linked)
-                for number, (aliases, kind, political, linked) in enumerate(drafts)
-            ]
-        )
+        # An alias listed twice is an error, so each keeps its first listing.
+        seen = set()
+        entries = []
+        for number, (aliases, kind, political, linked) in enumerate(drafts):
+            kept = []
+            for alias in aliases:
+                if alias.lower() not in seen:
+                    seen.add(alias.lower())
+                    kept.append(alias)
+            entries.append(GazetteerEntry(f"E{number}", kind, tuple(kept), political, linked))
+        gazetteer = Gazetteer(entries)
         text = "".join(pieces)
         expected = reference_mention_counts(gazetteer, text)
         assert list(gazetteer.mention_counts(text).items()) == list(expected.items())
@@ -530,6 +549,17 @@ class TestSidecar:
         assert enriched["N1"].activation == 0.75
         assert enriched["N1"].chain_id == "first"
         assert enriched["N1"].complexity == computed_complexity
+
+    @pytest.mark.parametrize(
+        "field", [{"chain_id": ""}, {"political_actors": ["", "P1"]}], ids=["chain_id", "political_actors"]
+    )
+    def test_empty_chain_or_actor_id_rejected_with_a_warning(self, enriched, tmp_path, field):
+        before = enriched["N1"]
+        path = tmp_path / "sidecar.jsonl"
+        path.write_text(json.dumps({"id": "N1", **field}) + "\n", encoding="utf-8")
+        load_sidecar(path, enriched)
+        assert enriched["N1"] == before
+        assert f"{path}:1: record for 'N1' rejected (chain and actor ids must be non-empty)" in enriched.warnings
 
     def test_empty_sidecar_is_a_no_op(self, enriched, tmp_path):
         before = {article.id: article for article in enriched}

@@ -34,6 +34,7 @@ PROBES = [
     ("sidecar", {"id": "N1", "political_actors": "P1"}, "'political_actors' must be a list of strings"),
     ("gazetteer", {**GAZETTEER_ENTRY, "aliases": "ann"}, "'aliases' must be a list of strings"),
     ("gazetteer", {**GAZETTEER_ENTRY, "is_political": "false"}, "'is_political' must be true or false"),
+    ("gazetteer", {**GAZETTEER_ENTRY, "canonical_id": ""}, "empty 'canonical_id'"),
     ("sidecar", {"id": "N1", "chain_id": 5}, "'chain_id' must be a string"),
     ("bodies", {"id": "N1", "published_at": math.nan}, "'published_at' must be a finite number"),
     ("bodies", {"id": "N1", "published_at": "yesterday"}, "unparseable timestamp 'yesterday'"),
