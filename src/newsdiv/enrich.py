@@ -116,13 +116,16 @@ class GazetteerEntry:
 class Gazetteer:
     """Alias table for entity tagging: aliases match case-insensitively
     where no word character adjoins them, each occurrence one mention.  An
-    id or an alias (after case folding) listed twice is a ParseError."""
+    empty id, or an id or an alias (after case folding) listed twice, is a
+    ParseError."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         self.entries = tuple(entries)
         self._by_id = {entry.canonical_id: entry for entry in self.entries}
         if len(self._by_id) < len(self.entries):
             raise ParseError("duplicate gazetteer ids")
+        if "" in self._by_id:
+            raise ParseError("empty gazetteer id")
         # No word character adjoins a match, so an alias's first \w+ run (its
         # lead word) is one of the text's \w+ runs: patterns are indexed by
         # lead word.  Aliases without a word character are always tried.

@@ -412,6 +412,10 @@ class TestEntities:
         with pytest.raises(ParseError, match="duplicate gazetteer alias 'obama'"):
             Gazetteer(entries)
 
+    def test_empty_id_rejected_in_a_directly_built_gazetteer(self):
+        with pytest.raises(ParseError, match="empty gazetteer id"):
+            Gazetteer([GazetteerEntry("", "person", ("ann kovac",), True, False)])
+
     def test_empty_canonical_id_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "gaz.jsonl"
         path.write_text(json.dumps({"canonical_id": "", "kind": "person", "aliases": ["ann kovac"]}) + "\n", encoding="utf-8")
