@@ -405,22 +405,17 @@ class TestEntities:
         assert gazetteer.mention_counts("BARACK OBAMA spoke.") == {"E1": 1}
 
     @pytest.mark.parametrize(
-        "aliases", [[("Obama", "obama")], [("Obama",), ("OBAMA",)]], ids=["one-entry", "two-entries"]
+        "entries,message",
+        [
+            ([("E1", ("Obama", "obama"))], "duplicate gazetteer alias 'obama'"),
+            ([("E1", ("Obama",)), ("E2", ("OBAMA",))], "duplicate gazetteer alias 'obama'"),
+            ([("", ("ann kovac",))], "empty gazetteer id"),
+        ],
+        ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id"],
     )
-    def test_alias_repeated_after_case_folding_rejected_in_a_directly_built_gazetteer(self, aliases):
-        entries = [GazetteerEntry(f"E{number}", "person", names, False, False) for number, names in enumerate(aliases)]
-        with pytest.raises(ParseError, match="duplicate gazetteer alias 'obama'"):
-            Gazetteer(entries)
-
-    def test_empty_id_rejected_in_a_directly_built_gazetteer(self):
-        with pytest.raises(ParseError, match="empty gazetteer id"):
-            Gazetteer([GazetteerEntry("", "person", ("ann kovac",), True, False)])
-
-    def test_empty_canonical_id_rejected_with_its_line(self, tmp_path):
-        path = tmp_path / "gaz.jsonl"
-        path.write_text(json.dumps({"canonical_id": "", "kind": "person", "aliases": ["ann kovac"]}) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: empty 'canonical_id'$"):
-            load_gazetteer(path)
+    def test_directly_built_gazetteer_rejects(self, entries, message):
+        with pytest.raises(ParseError, match=message):
+            Gazetteer([GazetteerEntry(canonical_id, "person", aliases, False, False) for canonical_id, aliases in entries])
 
     def test_duplicate_gazetteer_id_rejected(self, tmp_path):
         path = tmp_path / "gaz.jsonl"
