@@ -16,15 +16,13 @@ from .corpus import (
     load_recommendations,
 )
 from .distrib import (
-    Binning,
     DiscreteDistribution,
     RankWeighting,
     build_distribution,
     history_distribution,
     rank_weight,
-    smooth_pair,
 )
-from .divergence import f_divergence, js, kl
+from .divergence import f_divergence, js, kl, smooth_pair
 from .enrich import (
     Gazetteer,
     activation,

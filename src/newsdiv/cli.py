@@ -198,8 +198,7 @@ def _baseline(strategy: str, impressions, seed: int):
 def _gather_recommendations(config: RunConfig, impressions):
     by_source = {name: _baseline(name, impressions, config.seed) for name in config.recommenders}
     for name, path in sorted(config.externals.items()):
-        source = f"external:{name}"
-        by_source[source] = corpus_io.load_recommendations(path, impressions, source=source)
+        by_source[f"external:{name}"] = corpus_io.load_recommendations(path, impressions)
     return by_source
 
 

@@ -103,8 +103,8 @@ class RunConfig:
     weightings: list[str] = field(default_factory=lambda: ["none", "mrr"])
     cutoffs: list[int] = field(default_factory=lambda: [0])
     alpha: float = _METRIC_DEFAULTS.alpha
-    activation_bins: int = _METRIC_DEFAULTS.activation_bins.bin_count
-    complexity_bins: int = _METRIC_DEFAULTS.complexity_bins.bin_count
+    activation_bins: int = _METRIC_DEFAULTS.activation_bins
+    complexity_bins: int = _METRIC_DEFAULTS.complexity_bins
     pairs: int = _METRIC_DEFAULTS.fragmentation_pairs
     seed: int = _METRIC_DEFAULTS.seed
     pool: str = POOLS[0]
@@ -167,8 +167,8 @@ class RunConfig:
             divergence=self.divergence,
             weighting=replace(_METRIC_DEFAULTS.weighting, scheme=self.weighting),
             alpha=self.alpha,
-            activation_bins=replace(_METRIC_DEFAULTS.activation_bins, bin_count=self.activation_bins),
-            complexity_bins=replace(_METRIC_DEFAULTS.complexity_bins, bin_count=self.complexity_bins),
+            activation_bins=self.activation_bins,
+            complexity_bins=self.complexity_bins,
             fragmentation_pairs=self.pairs,
             seed=self.seed,
         )

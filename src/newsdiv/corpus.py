@@ -32,6 +32,10 @@ from .errors import ParseError, ValidationError
 
 _CANDIDATE_RE = re.compile(r"^(.+)-([01])$")
 
+# The ranges [0, top] of the two continuous article fields.
+ACTIVATION_TOP = 1.0
+COMPLEXITY_TOP = 100.0
+
 
 @dataclass(frozen=True)
 class Article:
@@ -60,10 +64,10 @@ class Article:
             raise ValidationError("article id must be non-empty")
         if self.chain_id == "" or "" in self.political_actors:
             raise ValidationError("chain and actor ids must be non-empty")
-        if self.complexity is not None and not 0.0 <= self.complexity <= 100.0:
-            raise ValidationError(f"complexity out of range [0, 100]: {self.complexity!r}")
-        if self.activation is not None and not 0.0 <= self.activation <= 1.0:
-            raise ValidationError(f"activation out of range [0, 1]: {self.activation!r}")
+        if self.complexity is not None and not 0.0 <= self.complexity <= COMPLEXITY_TOP:
+            raise ValidationError(f"complexity out of range [0, {COMPLEXITY_TOP:g}]: {self.complexity!r}")
+        if self.activation is not None and not 0.0 <= self.activation <= ACTIVATION_TOP:
+            raise ValidationError(f"activation out of range [0, {ACTIVATION_TOP:g}]: {self.activation!r}")
         if self.minority_mentions < 0 or self.majority_mentions < 0:
             raise ValidationError("mention counts must be >= 0")
 
@@ -102,7 +106,6 @@ class RecommendationList:
     impression_id: str
     user_id: str
     ranked_items: tuple[str, ...]
-    source: str
 
 
 class Corpus:
@@ -381,7 +384,6 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
 def load_recommendations(
     path: str | Path,
     impressions: Sequence[ImpressionLog] | None = None,
-    source: str | None = None,
 ) -> list[RecommendationList]:
     """Parse a recommendations JSON-lines file, optionally validating it
     against the impressions it will be joined with.
@@ -392,7 +394,6 @@ def load_recommendations(
     impression's and items outside the impression's candidate pool.
     """
     path = Path(path)
-    label = source if source is not None else f"external:{path.stem}"
     by_impression = (
         {impression.impression_id: impression for impression in impressions}
         if impressions is not None
@@ -433,14 +434,7 @@ def load_recommendations(
         else:
             user_id = shared(user_id)
             ranked = [shared(item) for item in ranked]
-        recommendations.append(
-            RecommendationList(
-                impression_id=impression_id,
-                user_id=user_id,
-                ranked_items=tuple(ranked),
-                source=label,
-            )
-        )
+        recommendations.append(RecommendationList(impression_id, user_id, tuple(ranked)))
     return recommendations
 
 

@@ -1,9 +1,7 @@
 """Discrete probability distributions over categorical keys.
 
 Distributions are built from ordered item lists, optionally discounting each
-item by its rank (reciprocal-rank or log2 discounted-gain weights), binning
-continuous fields, and smoothing a (context, recommendation) pair so that the
-divergence between them is always defined.
+item by its rank (reciprocal-rank or log2 discounted-gain weights).
 """
 from __future__ import annotations
 
@@ -63,32 +61,6 @@ class RankWeighting:
     def ranked(self, items: Sequence[T]) -> Sequence[T]:
         """The items within the cutoff, in rank order."""
         return items if self.cutoff is None else items[: self.cutoff]
-
-
-@dataclass(frozen=True)
-class Binning:
-    """Equal-width binning of a continuous field onto string keys.
-
-    A value maps to floor((x - lo) / (hi - lo) * bin_count); the top edge
-    falls into the last bin.  Keys are "bin_0" .. "bin_<n-1>".
-    """
-
-    field: str
-    bin_count: int = 10
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.bin_count < 2:
-            raise ValueError(f"degenerate binning: bin_count must be >= 2, got {self.bin_count}")
-        if not self.lo < self.hi:
-            raise ValueError(f"binning range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-
-    def key_for(self, value: float) -> str:
-        span = self.hi - self.lo
-        index = int(math.floor((value - self.lo) / span * self.bin_count))
-        index = min(max(index, 0), self.bin_count - 1)
-        return f"bin_{index}"
 
 
 def _check_alpha(alpha: float) -> None:
@@ -202,26 +174,3 @@ def history_distribution(
     recently read articles higher.
     """
     return _history_from_pairs(_ranked_pairs(history, key_fn, weighting), weighting.scheme)
-
-
-def smooth_pair(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    alpha: float,
-) -> tuple[DiscreteDistribution, DiscreteDistribution]:
-    """Mix each distribution with its counterpart on the union domain.
-
-    Returns (p_bar, q_bar) with p_bar = (1 - alpha) p + alpha q and
-    symmetrically for q_bar, renormalized.  For alpha > 0, q_bar is positive
-    wherever p is (no zero division) and p_bar is positive wherever q is
-    (the divergence cannot be forced to zero by a key missing from p).
-    """
-    from .divergence import _mixed, _union  # the pair kernel; that module imports this one
-
-    _check_alpha(alpha)
-    p_mixed, q_mixed, p_total, q_total = _mixed(p.masses, q.masses, alpha)
-    keys = _union(p.masses, q.masses)
-    return (
-        DiscreteDistribution({key: mass / p_total for key, mass in zip(keys, p_mixed)}),
-        DiscreteDistribution({key: mass / q_total for key, mass in zip(keys, q_mixed)}),
-    )

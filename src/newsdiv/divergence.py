@@ -1,4 +1,5 @@
-"""KL and Jensen-Shannon divergences between aligned discrete distributions.
+"""KL and Jensen-Shannon divergences between aligned discrete distributions,
+and ``smooth_pair``, which mixes a pair on its union domain so both are defined.
 
 All logarithms are base 2, which bounds the Jensen-Shannon divergence by 1.
 ``js`` returns the square root of that bounded value: unlike KL it is a
@@ -55,6 +56,27 @@ def _mixed(
 def _union(p_masses: Mapping[str, float], q_masses: Mapping[str, float]) -> list[str]:
     """The keys of ``_mixed``'s masses: p's, then q's others."""
     return [*p_masses, *(key for key in q_masses if key not in p_masses)]
+
+
+def smooth_pair(
+    p: DiscreteDistribution,
+    q: DiscreteDistribution,
+    alpha: float,
+) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    """Mix each distribution with its counterpart on the union domain.
+
+    Returns (p_bar, q_bar) with p_bar = (1 - alpha) p + alpha q and
+    symmetrically for q_bar, renormalized.  For alpha > 0, q_bar is positive
+    wherever p is (no zero division) and p_bar is positive wherever q is
+    (the divergence cannot be forced to zero by a key missing from p).
+    """
+    _check_alpha(alpha)
+    p_mixed, q_mixed, p_total, q_total = _mixed(p.masses, q.masses, alpha)
+    keys = _union(p.masses, q.masses)
+    return (
+        DiscreteDistribution({key: mass / p_total for key, mass in zip(keys, p_mixed)}),
+        DiscreteDistribution({key: mass / q_total for key, mass in zip(keys, q_mixed)}),
+    )
 
 
 def _aligned(

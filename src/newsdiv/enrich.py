@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import (Article, Corpus, ImpressionLog, check_unique, id_table, read_lines,
+from .corpus import (COMPLEXITY_TOP, Article, Corpus, ImpressionLog, check_unique, id_table, read_lines,
                      read_records, write_records)
 from .errors import ParseError, ValidationError
 
@@ -59,7 +59,7 @@ def complexity(text: str, syllables: Callable[[str], int] = count_syllables) -> 
     sentences = sum(1 for part in _SENTENCE_RE.split(text) if part.strip()) or 1
     syllable_count = sum(map(syllables, words))
     score = 206.835 - 1.015 * (len(words) / sentences) - 84.6 * (syllable_count / len(words))
-    return min(max(score, 0.0), 100.0)
+    return min(max(score, 0.0), COMPLEXITY_TOP)
 
 
 def load_lexicon(path: str | Path) -> dict[str, float]:

@@ -21,18 +21,17 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, MutableSequence, NamedTuple, Sequence
 
-from .corpus import Article
+from .corpus import ACTIVATION_TOP, COMPLEXITY_TOP, Article
 from .distrib import (
-    Binning,
     DiscreteDistribution,
     KeyFn,
     RankWeighting,
     _check_alpha,
     build_distribution,
     history_distribution,
-    smooth_pair,  # noqa: F401 - not called here; perfbench/child.py wraps metrics.smooth_pair
 )
 from .divergence import KINDS, js, kl
+from .divergence import smooth_pair  # noqa: F401 - perfbench/child.py wraps metrics.smooth_pair
 from .errors import EmptyDistributionError
 from .seeding import derive_rng
 
@@ -59,12 +58,15 @@ class MetricConfig:
     divergence: str = "js"
     weighting: RankWeighting = RankWeighting("mrr", None)
     alpha: float = 0.001
-    activation_bins: Binning = Binning("activation", 10, 0.0, 1.0)
-    complexity_bins: Binning = Binning("complexity", 10, 0.0, 100.0)
+    activation_bins: int = 10
+    complexity_bins: int = 10
     fragmentation_pairs: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for bin_count in (self.activation_bins, self.complexity_bins):
+            if bin_count < 2:
+                raise ValueError(f"degenerate binning: bin_count must be >= 2, got {bin_count}")
         if self.divergence not in KINDS:
             raise ValueError(f"unknown divergence {self.divergence!r}")
         _check_alpha(self.alpha)
@@ -94,10 +96,15 @@ def voice_keys(article: Article) -> Mapping[str, float]:
     return keys
 
 
-def binned_keys(binning: Binning):
+def binned_keys(field: str, top: float, bin_count: int) -> KeyFn:
+    """Equal-width bins of [0, top]: a value x of ``field`` maps to key
+    "bin_<floor(x / top * bin_count)>", and ``top`` itself to the last bin."""
+
     def key_fn(article: Article) -> Mapping[str, float]:
-        value = getattr(article, binning.field)
-        return {binning.key_for(value): 1.0} if value is not None else {}
+        value = getattr(article, field)
+        if value is None:
+            return {}
+        return {f"bin_{min(math.floor(value / top * bin_count), bin_count - 1)}": 1.0}
 
     return key_fn
 
@@ -106,8 +113,8 @@ def metric_keys(config: MetricConfig) -> dict[str, KeyFn]:
     """Key function of each per-impression metric."""
     return {
         "calibration_topic": subcategory_keys,
-        "calibration_complexity": binned_keys(config.complexity_bins),
-        "activation": binned_keys(config.activation_bins),
+        "calibration_complexity": binned_keys("complexity", COMPLEXITY_TOP, config.complexity_bins),
+        "activation": binned_keys("activation", ACTIVATION_TOP, config.activation_bins),
         "representation": actor_keys,
         "alternative_voices": voice_keys,
     }

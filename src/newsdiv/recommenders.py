@@ -24,12 +24,7 @@ def recommend_random(impression: ImpressionLog, seed: int) -> RecommendationList
     rng = derive_rng(seed, f"random:{impression.impression_id}")
     ranked = list(impression.candidate_ids)
     rng.shuffle(ranked)
-    return RecommendationList(
-        impression_id=impression.impression_id,
-        user_id=impression.user_id,
-        ranked_items=tuple(ranked),
-        source="random",
-    )
+    return RecommendationList(impression.impression_id, impression.user_id, tuple(ranked))
 
 
 def recommend_popular(impression: ImpressionLog, counts: Mapping[str, int]) -> RecommendationList:
@@ -41,9 +36,4 @@ def recommend_popular(impression: ImpressionLog, counts: Mapping[str, int]) -> R
     ranked = sorted(
         impression.candidate_ids, key=lambda article_id: (-counts.get(article_id, 0), article_id)
     )
-    return RecommendationList(
-        impression_id=impression.impression_id,
-        user_id=impression.user_id,
-        ranked_items=tuple(ranked),
-        source="popular",
-    )
+    return RecommendationList(impression.impression_id, impression.user_id, tuple(ranked))

@@ -923,6 +923,10 @@ class TestOptionRules:
         assert config.tau == DEFAULT_TAU
         assert config.window_days * 86400.0 == DEFAULT_WINDOW_SECONDS
 
+    def test_bin_counts_pass_straight_to_the_library(self):
+        config = RunConfig.from_options({"bins": "3", "complexity_bins": "4"})
+        assert config.metric_config() == MetricConfig(activation_bins=3, complexity_bins=4)
+
 
 def _subcommand_flags() -> dict[str, set[str]]:
     """The flag destinations of each subcommand of the CLI parser."""

@@ -218,7 +218,6 @@ class TestLoadRecommendations:
         recs = load_recommendations(fixture_paths["recommendations"], impressions)
         assert recs[0].ranked_items == ("N2", "N1")
         assert recs[0].ranked_items[0] == "N2"  # rank 1
-        assert recs[0].source.startswith("external:")
 
     def test_duplicate_item_rejected(self, tmp_path, fixture_paths):
         impressions = load_behaviors(fixture_paths["behaviors"])
@@ -334,7 +333,7 @@ class TestRoundTrip:
         recs = load_recommendations(fixture_paths["recommendations"], impressions)
         out = tmp_path / "recs.jsonl"
         dump_recommendations(recs, out)
-        assert load_recommendations(out, impressions, source=recs[0].source) == recs
+        assert load_recommendations(out, impressions) == recs
 
     def test_records_keep_non_ascii_text(self, tmp_path):
         records = [

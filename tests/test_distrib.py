@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from newsdiv.corpus import ACTIVATION_TOP, COMPLEXITY_TOP, Article
 from newsdiv.distrib import (
-    Binning,
     DiscreteDistribution,
     SCHEMES,
     RankWeighting,
@@ -12,9 +12,10 @@ from newsdiv.distrib import (
     history_distribution,
     rank_weight,
     rank_weights,
-    smooth_pair,
 )
+from newsdiv.divergence import smooth_pair
 from newsdiv.errors import EmptyDistributionError
+from newsdiv.metrics import MetricConfig, binned_keys
 
 
 def keys_of(label):
@@ -157,23 +158,23 @@ class TestHistoryDistribution:
 
 
 class TestBinning:
+    """``metrics.binned_keys``' equal-width bins and ``MetricConfig``'s bin counts."""
+
     def test_floor_mapping(self):
-        binning = Binning("activation", 10, 0.0, 1.0)
-        assert binning.key_for(0.0) == "bin_0"
-        assert binning.key_for(0.35) == "bin_3"
-        assert binning.key_for(0.999) == "bin_9"
+        key_fn = binned_keys("activation", ACTIVATION_TOP, 10)
+        assert key_fn(Article("A", activation=0.0)) == {"bin_0": 1.0}
+        assert key_fn(Article("A", activation=0.35)) == {"bin_3": 1.0}
+        assert key_fn(Article("A", activation=0.999)) == {"bin_9": 1.0}
+        assert key_fn(Article("A")) == {}
 
     def test_top_edge_in_last_bin(self):
-        binning = Binning("complexity", 10, 0.0, 100.0)
-        assert binning.key_for(100.0) == "bin_9"
+        key_fn = binned_keys("complexity", COMPLEXITY_TOP, 10)
+        assert key_fn(Article("A", complexity=COMPLEXITY_TOP)) == {"bin_9": 1.0}
 
     def test_degenerate_bin_count_rejected(self):
-        with pytest.raises(ValueError, match="degenerate binning"):
-            Binning("activation", 1, 0.0, 1.0)
-
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError):
-            Binning("activation", 10, 1.0, 0.0)
+        for counts in ({"activation_bins": 1}, {"complexity_bins": 1}):
+            with pytest.raises(ValueError, match="degenerate binning: bin_count must be >= 2, got 1"):
+                MetricConfig(**counts)
 
 
 class TestSmoothing:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import distance as sp_distance
 
-from newsdiv.distrib import DiscreteDistribution, smooth_pair
-from newsdiv.divergence import f_divergence, js, kl
+from newsdiv.distrib import DiscreteDistribution
+from newsdiv.divergence import f_divergence, js, kl, smooth_pair
 from newsdiv.errors import UnsmoothedZeroError
 
 

@@ -22,7 +22,6 @@ from newsdiv.corpus import (
     load_behaviors,
     load_catalog,
 )
-from newsdiv.distrib import Binning
 from newsdiv.enrich import enrich_corpus, load_gazetteer, load_lexicon
 from newsdiv.errors import EmptyDistributionError, UnsmoothedZeroError, ValidationError
 from newsdiv import evaluate as evaluate_module
@@ -79,7 +78,6 @@ def history_matched_oracle(corpus, impression):
         impression_id=impression.impression_id,
         user_id=impression.user_id,
         ranked_items=tuple(ranked),
-        source="external:oracle",
     )
 
 
@@ -465,15 +463,14 @@ class TestAgainstReference:
                     ranked_items=tuple(draw(st.permutations(impression.candidate_ids)))[
                         : draw(st.integers(0, 6))
                     ],
-                    source=source,
                 )
                 for impression in listed
             ]
         grid = draw(st.lists(st.sampled_from(FULL_GRID), min_size=1, max_size=6, unique=True))
         config = MetricConfig(
             alpha=draw(st.sampled_from([0.0, 0.001, 0.2])),
-            activation_bins=Binning("activation", draw(st.integers(2, 5)), 0.0, 1.0),
-            complexity_bins=Binning("complexity", draw(st.integers(2, 5)), 0.0, 100.0),
+            activation_bins=draw(st.integers(2, 5)),
+            complexity_bins=draw(st.integers(2, 5)),
             fragmentation_pairs=draw(st.integers(1, 3)),
             seed=draw(st.integers(0, 3)),
         )
@@ -704,7 +701,7 @@ class TestRowOrder:
             "random": [recommend_random(impression, seed=2) for impression in short_ids],
             # empty lists: a skip per metric, and skipped fragmentation pairs
             "external:empty": [
-                RecommendationList(impression.impression_id, impression.user_id, (), "external:empty")
+                RecommendationList(impression.impression_id, impression.user_id, ())
                 for impression in short_ids[::3]
             ],
         }

@@ -4,7 +4,7 @@ import pytest
 from scipy.spatial import distance as sp_distance
 
 from newsdiv.corpus import Article
-from newsdiv.distrib import Binning, RankWeighting
+from newsdiv.distrib import RankWeighting
 from newsdiv.errors import EmptyDistributionError
 from newsdiv.metrics import (
     MetricConfig,
@@ -84,7 +84,7 @@ class TestCalibrationComplexity:
 
     def test_degenerate_binning_rejected(self):
         with pytest.raises(ValueError, match="degenerate binning"):
-            Binning("complexity", 1, 0.0, 100.0)
+            MetricConfig(complexity_bins=1)
 
     @pytest.mark.parametrize("alpha", [-0.1, 0.5, math.nan])
     def test_alpha_checked_by_the_config(self, alpha):

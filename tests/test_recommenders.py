@@ -18,7 +18,6 @@ class TestRandom:
     def test_single_candidate(self):
         rec = recommend_random(impression("I1", ["N1"]), seed=0)
         assert rec.ranked_items == ("N1",)
-        assert rec.source == "random"
 
     def test_same_seed_same_permutation(self):
         imp = impression("I1", ["N1", "N2", "N3", "N4"])
@@ -50,7 +49,6 @@ class TestPopular:
         counts = Counter({"a": 5, "b": 3, "c": 3, "d": 0})
         rec = recommend_popular(impression("I1", ["d", "c", "b", "a"]), counts)
         assert rec.ranked_items == ("a", "b", "c", "d")
-        assert rec.source == "popular"
 
     def test_all_zero_counts_degenerate_to_id_order(self):
         rec = recommend_popular(impression("I1", ["n3", "n1", "n2"]), Counter())
