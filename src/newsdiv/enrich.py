@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -115,8 +116,9 @@ class GazetteerEntry:
 
 class Gazetteer:
     """Alias table for entity tagging: aliases match case-insensitively
-    where no word character adjoins them, each occurrence one mention.  An
-    empty id, or an id or an alias (after case folding) listed twice, is a
+    where no word character adjoins them, each occurrence one mention; of
+    overlapping matches, only the leftmost, longest one counts.  An empty id
+    or alias, or an id or an alias (after case folding) listed twice, is a
     ParseError."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
@@ -131,18 +133,25 @@ class Gazetteer:
         # lead word.  Aliases without a word character are always tried.
         self._by_lead: dict[str, list[tuple[int, re.Pattern[str]]]] = {}
         self._unindexed: list[tuple[int, re.Pattern[str]]] = []
-        seen: set[str] = set()
+        patterns: dict[str, tuple[int, re.Pattern[str]]] = {}
         for index, entry in enumerate(self.entries):
             for alias in map(str.lower, entry.aliases):
-                if alias in seen:
-                    raise ParseError(f"duplicate gazetteer alias {alias!r}")
-                seen.add(alias)
-                pattern = re.compile(r"(?<!\w)" + re.escape(alias) + r"(?!\w)")
+                if not alias or alias in patterns:
+                    raise ParseError(f"{'duplicate' if alias else 'empty'} gazetteer alias {alias!r}")
+                patterns[alias] = index, re.compile(r"(?<!\w)" + re.escape(alias) + r"(?!\w)")
                 lead = _WORD_RE.search(alias)
                 if lead is None:
-                    self._unindexed.append((index, pattern))
+                    self._unindexed.append(patterns[alias])
                 else:
-                    self._by_lead.setdefault(lead.group(), []).append((index, pattern))
+                    self._by_lead.setdefault(lead.group(), []).append(patterns[alias])
+        # Two aliases' matches can overlap only where the aliases share a word,
+        # or where one starts or ends with a non-word character.
+        shared = Counter(word for alias in patterns for word in set(_WORD_RE.findall(alias)))
+        self._may_overlap = {
+            pattern for alias, (_, pattern) in patterns.items()
+            if not _WORD_RE.fullmatch(alias[0] + alias[-1])
+            or any(shared[word] > 1 for word in _WORD_RE.findall(alias))
+        }
 
     def mention_counts(self, text: str) -> dict[str, int]:
         """Mentions per canonical id, in gazetteer order; ids without a match
@@ -152,11 +161,29 @@ class Gazetteer:
         for word in set(_WORD_RE.findall(lowered)):
             candidates.extend(self._by_lead.get(word, ()))
         mentions: dict[int, int] = {}
+        matched = []
         for index, pattern in candidates:
             found = len(pattern.findall(lowered))
             if found:
                 mentions[index] = mentions.get(index, 0) + found
+                matched.append((index, pattern))
+        if len(matched) > 1 and not self._may_overlap.isdisjoint(pattern for _, pattern in matched):
+            mentions = _leftmost_longest(lowered, matched)
         return {self.entries[index].canonical_id: mentions[index] for index in sorted(mentions)}
+
+
+def _leftmost_longest(lowered: str, matched: list[tuple[int, re.Pattern[str]]]) -> dict[int, int]:
+    """Mentions per entry index of the patterns ``matched``: of overlapping
+    matches the leftmost, longest counts, and the others search on from its end."""
+    mentions: dict[int, int] = {}
+    found = [(pattern.search(lowered), index, pattern) for index, pattern in matched]
+    while found:
+        match, index, _ = min(found, key=lambda item: (item[0].start(), -item[0].end()))
+        mentions[index] = mentions.get(index, 0) + 1
+        end = match.end()
+        found = [(next_match, index, pattern) for match, index, pattern in found
+                 if (next_match := match if match.start() >= end else pattern.search(lowered, end))]
+    return mentions
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,16 +321,26 @@ TEXT_CHARS = "aboyNé_É1.' İ"
 
 
 def reference_mention_counts(gazetteer, text):
-    """Every alias pattern run over the lowered text, entry by entry."""
+    """Every alias tried at each position of the lowered text in turn: the
+    longest match there counts, and the scan goes on from its end."""
     lowered = text.lower()
-    counts = {}
-    for entry in gazetteer.entries:
-        mentions = sum(
-            len(re.findall(r"(?<!\w)" + re.escape(alias) + r"(?!\w)", lowered)) for alias in entry.aliases
-        )
-        if mentions:
-            counts[entry.canonical_id] = mentions
-    return counts
+    patterns = [
+        (entry.canonical_id, re.compile(r"(?<!\w)" + re.escape(alias.lower()) + r"(?!\w)"))
+        for entry in gazetteer.entries
+        for alias in entry.aliases
+    ]
+    mentions = Counter()
+    position = 0
+    while position < len(lowered):
+        ends = [(match.end(), canonical_id) for canonical_id, pattern in patterns
+                if (match := pattern.match(lowered, position))]
+        if ends:
+            position, canonical_id = max(ends)
+            mentions[canonical_id] += 1
+        else:
+            position += 1
+    return {entry.canonical_id: mentions[entry.canonical_id] for entry in gazetteer.entries
+            if mentions[entry.canonical_id]}
 
 
 def reference_tags(gazetteer, counts):
@@ -404,14 +415,44 @@ class TestEntities:
         assert gazetteer.mention_counts("Barack Obama spoke.") == {"E1": 1}
         assert gazetteer.mention_counts("BARACK OBAMA spoke.") == {"E1": 1}
 
+    def test_nested_aliases_of_one_entry_count_each_occurrence_once(self):
+        gazetteer = Gazetteer([GazetteerEntry("E1", "person", ("Barack Obama", "Obama"), True, False)])
+        assert gazetteer.mention_counts("Barack Obama spoke. Obama left.") == {"E1": 2}
+
+    @pytest.mark.parametrize(
+        "aliases,text,expected",
+        [
+            (("Barack Obama", "Obama"), "Barack Obama spoke.", {"E1": 1}),
+            (("Obama", "Barack Obama"), "Barack Obama spoke.", {"E2": 1}),
+            (("new", "new york"), "new york, new", {"E1": 1, "E2": 1}),
+            (("new york", "york times"), "the new york times", {"E1": 1}),
+            (("york times", "new york"), "new york times in york times", {"E1": 1, "E2": 1}),
+        ],
+        ids=["nested", "nested-listed-first", "same-start", "partial", "partial-then-apart"],
+    )
+    def test_overlapping_matches_count_only_the_leftmost_longest(self, aliases, text, expected):
+        gazetteer = Gazetteer(
+            [GazetteerEntry(f"E{number}", "person", (alias,), False, False) for number, alias in enumerate(aliases, 1)]
+        )
+        assert gazetteer.mention_counts(text) == expected
+        assert reference_mention_counts(gazetteer, text) == expected
+
+    def test_a_name_inside_another_entrys_name_is_no_second_actor(self):
+        gazetteer = Gazetteer(
+            [GazetteerEntry("E1", "person", ("Barack Obama",), True, True),
+             GazetteerEntry("E2", "person", ("Obama",), True, False)]
+        )
+        assert tag_entities("Barack Obama spoke.", gazetteer) == (frozenset({"E1"}), 0, 1)
+
     @pytest.mark.parametrize(
         "entries,message",
         [
             ([("E1", ("Obama", "obama"))], "duplicate gazetteer alias 'obama'"),
             ([("E1", ("Obama",)), ("E2", ("OBAMA",))], "duplicate gazetteer alias 'obama'"),
             ([("", ("ann kovac",))], "empty gazetteer id"),
+            ([("E1", ("Obama", ""))], "empty gazetteer alias ''"),
         ],
-        ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id"],
+        ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id", "empty-alias"],
     )
     def test_directly_built_gazetteer_rejects(self, entries, message):
         with pytest.raises(ParseError, match=message):
