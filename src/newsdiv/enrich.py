@@ -181,8 +181,8 @@ def _leftmost_longest(lowered: str, matched: list[tuple[int, re.Pattern[str]]]) 
         match, index, _ = min(found, key=lambda item: (item[0].start(), -item[0].end()))
         mentions[index] = mentions.get(index, 0) + 1
         end = match.end()
-        found = [(next_match, index, pattern) for match, index, pattern in found
-                 if (next_match := match if match.start() >= end else pattern.search(lowered, end))]
+        found = [(next_match, other, pattern) for pending, other, pattern in found
+                 if (next_match := pending if pending.start() >= end else pattern.search(lowered, end))]
     return mentions
 
 
