@@ -99,7 +99,12 @@ def activation(text: str, lexicon: Mapping[str, float]) -> float:
 
     Every token occurrence counts; text without a single match scores 0.
     """
-    matched = [lexicon[token] for token in tokenize(text) if token in lexicon]
+    return _activation(tokenize(text), lexicon)
+
+
+def _activation(tokens: Iterable[str], lexicon: Mapping[str, float]) -> float:
+    """:func:`activation` over a text's ``tokens``."""
+    matched = [lexicon[token] for token in tokens if token in lexicon]
     if not matched:
         return 0.0
     return abs(math.fsum(matched) / len(matched))
@@ -118,8 +123,13 @@ class Gazetteer:
     """Alias table for entity tagging: aliases match case-insensitively
     where no word character adjoins them, each occurrence one mention; of
     overlapping matches, only the leftmost, longest one counts.  An empty id
-    or alias, or an id or an alias (after case folding) listed twice, is a
-    ParseError."""
+    or alias, an id or an alias (after case folding) listed twice, a kind
+    other than ``person`` or ``party``, or aliases given as one string is a
+    ParseError.
+
+    An alias's pattern is compiled the first time a text makes it a
+    candidate, and kept, so loading pays for no pattern and each alias
+    compiles at most once."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         self.entries = tuple(entries)
@@ -129,28 +139,33 @@ class Gazetteer:
         if "" in self._by_id:
             raise ParseError("empty gazetteer id")
         # No word character adjoins a match, so an alias's first \w+ run (its
-        # lead word) is one of the text's \w+ runs: patterns are indexed by
+        # lead word) is one of the text's \w+ runs: aliases are indexed by
         # lead word.  Aliases without a word character are always tried.
-        self._by_lead: dict[str, list[tuple[int, re.Pattern[str]]]] = {}
-        self._unindexed: list[tuple[int, re.Pattern[str]]] = []
-        patterns: dict[str, tuple[int, re.Pattern[str]]] = {}
+        self._by_lead: dict[str, list[tuple[int, str]]] = {}
+        self._unindexed: list[tuple[int, str]] = []
+        self._patterns: dict[str, re.Pattern[str]] = {}
+        words: dict[str, list[str]] = {}  # alias -> its \w+ runs
         for index, entry in enumerate(self.entries):
+            if entry.kind not in ("person", "party"):
+                raise ParseError(
+                    f"gazetteer entry {entry.canonical_id!r}: kind must be 'person' or 'party', got {entry.kind!r}"
+                )
+            if isinstance(entry.aliases, str):
+                raise ParseError(f"gazetteer entry {entry.canonical_id!r}: aliases must be a sequence, not one string")
             for alias in map(str.lower, entry.aliases):
-                if not alias or alias in patterns:
+                if not alias or alias in words:
                     raise ParseError(f"{'duplicate' if alias else 'empty'} gazetteer alias {alias!r}")
-                patterns[alias] = index, re.compile(r"(?<!\w)" + re.escape(alias) + r"(?!\w)")
-                lead = _WORD_RE.search(alias)
-                if lead is None:
-                    self._unindexed.append(patterns[alias])
+                runs = words[alias] = _WORD_RE.findall(alias)
+                if runs:
+                    self._by_lead.setdefault(runs[0], []).append((index, alias))
                 else:
-                    self._by_lead.setdefault(lead.group(), []).append(patterns[alias])
+                    self._unindexed.append((index, alias))
         # Two aliases' matches can overlap only where the aliases share a word,
         # or where one starts or ends with a non-word character.
-        shared = Counter(word for alias in patterns for word in set(_WORD_RE.findall(alias)))
+        shared = Counter(word for runs in words.values() for word in set(runs))
         self._may_overlap = {
-            pattern for alias, (_, pattern) in patterns.items()
-            if not _WORD_RE.fullmatch(alias[0] + alias[-1])
-            or any(shared[word] > 1 for word in _WORD_RE.findall(alias))
+            alias for alias, runs in words.items()
+            if not _WORD_RE.fullmatch(alias[0] + alias[-1]) or any(shared[word] > 1 for word in runs)
         }
 
     def mention_counts(self, text: str) -> dict[str, int]:
@@ -160,14 +175,20 @@ class Gazetteer:
         candidates = list(self._unindexed)
         for word in set(_WORD_RE.findall(lowered)):
             candidates.extend(self._by_lead.get(word, ()))
+        patterns = self._patterns
         mentions: dict[int, int] = {}
         matched = []
-        for index, pattern in candidates:
+        may_overlap = False
+        for index, alias in candidates:
+            pattern = patterns.get(alias)
+            if pattern is None:
+                pattern = patterns[alias] = re.compile(r"(?<!\w)" + re.escape(alias) + r"(?!\w)")
             found = len(pattern.findall(lowered))
             if found:
                 mentions[index] = mentions.get(index, 0) + found
                 matched.append((index, pattern))
-        if len(matched) > 1 and not self._may_overlap.isdisjoint(pattern for _, pattern in matched):
+                may_overlap = may_overlap or alias in self._may_overlap
+        if len(matched) > 1 and may_overlap:
             mentions = _leftmost_longest(lowered, matched)
         return {self.entries[index].canonical_id: mentions[index] for index in sorted(mentions)}
 
@@ -301,13 +322,23 @@ def chain_articles(
     caller should pass the whole catalog, sorted by timestamp ascending.
     Returns article id -> chain id.
     """
-    check_chaining(tau, window_seconds)
-    # Every occurrence of a token maps to one string for the whole call, so
-    # the token lists, vectors, chain sums and ``holders`` grow with the
-    # vocabulary, not with the occurrences.
+    return _chain(articles, _document_tokens(articles), tau, window_seconds)
+
+
+def _document_tokens(articles: Iterable[Article]) -> dict[str, list[str]]:
+    """Article id -> the tokens of its text.  Every occurrence of a token maps
+    to one string, so the token lists, and chaining's vectors, chain sums and
+    ``holders`` built from them, grow with the vocabulary, not with the
+    occurrences."""
     canonical = id_table()
-    document_tokens = {article.id: list(map(canonical, tokenize(article.text()))) for article in articles}
-    del canonical
+    return {article.id: list(map(canonical, tokenize(article.text()))) for article in articles}
+
+
+def _chain(
+    articles: Sequence[Article], document_tokens: Mapping[str, list[str]], tau: float, window_seconds: float
+) -> dict[str, str]:
+    """:func:`chain_articles` over the articles' ``document_tokens``."""
+    check_chaining(tau, window_seconds)
     idf: dict[str, float] = {}  # document frequencies, then their IDF in place
     for tokens in document_tokens.values():
         for token in set(tokens):
@@ -401,7 +432,9 @@ def enrich_corpus(
     # are broken by id, never by the catalog's line order.
     dated = [article for article in corpus if article.published_at is not None]
     dated.sort(key=lambda article: (article.published_at, article.id))
-    chain_of = chain_articles(dated, tau=tau, window_seconds=window_seconds)
+    # Chaining and activation share one token list per dated article.
+    tokens = _document_tokens(dated)
+    chain_of = _chain(dated, tokens, tau, window_seconds)
     undated = len(corpus) - len(dated)
     if undated:
         corpus.warn(f"{undated} article(s) lack a timestamp and were not chained")
@@ -409,12 +442,13 @@ def enrich_corpus(
     syllables = functools.cache(count_syllables)  # one count per distinct word of this run
     for article in list(corpus):
         text = article.text()
+        words = tokens.pop(article.id, None)
         fields: dict[str, object] = {
             "complexity": complexity(text, syllables),
             "chain_id": chain_of.get(article.id),
         }
         if lexicon is not None and text:
-            fields["activation"] = activation(text, lexicon)
+            fields["activation"] = _activation(tokenize(text) if words is None else words, lexicon)
         if gazetteer is not None:
             actors, minority, majority = tag_entities(text, gazetteer)
             fields.update(

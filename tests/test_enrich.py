@@ -444,16 +444,49 @@ class TestEntities:
     @pytest.mark.parametrize(
         "entries,message",
         [
-            ([("E1", ("Obama", "obama"))], "duplicate gazetteer alias 'obama'"),
-            ([("E1", ("Obama",)), ("E2", ("OBAMA",))], "duplicate gazetteer alias 'obama'"),
-            ([("", ("ann kovac",))], "empty gazetteer id"),
-            ([("E1", ("Obama", ""))], "empty gazetteer alias ''"),
+            ([("E1", "person", ("Obama", "obama"))], "duplicate gazetteer alias 'obama'"),
+            ([("E1", "person", ("Obama",)), ("E2", "party", ("OBAMA",))], "duplicate gazetteer alias 'obama'"),
+            ([("", "person", ("ann kovac",))], "empty gazetteer id"),
+            ([("E1", "person", ("Obama", ""))], "empty gazetteer alias ''"),
+            # Tagged, 'Person' would count no voice: 'Ann Kovac spoke.' gave (E1, 0, 0).
+            ([("E1", "Person", ("ann kovac",))], "gazetteer entry 'E1': kind must be 'person' or 'party', got 'Person'"),
+            # One string would become one alias per letter: 'a ban on b and n' gave {'E1': 3}.
+            ([("E1", "person", "ban")], "gazetteer entry 'E1': aliases must be a sequence, not one string"),
         ],
-        ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id", "empty-alias"],
+        ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id", "empty-alias", "unknown-kind",
+             "aliases-as-one-string"],
     )
     def test_directly_built_gazetteer_rejects(self, entries, message):
         with pytest.raises(ParseError, match=message):
-            Gazetteer([GazetteerEntry(canonical_id, "person", aliases, False, False) for canonical_id, aliases in entries])
+            Gazetteer([GazetteerEntry(canonical_id, kind, aliases, False, False)
+                       for canonical_id, kind, aliases in entries])
+
+    def test_patterns_compile_on_first_use_and_once(self, fixture_paths, monkeypatch):
+        compiled = []
+        compile_pattern = re.compile
+
+        def counting(pattern, *args, **kwargs):
+            compiled.append(pattern)
+            return compile_pattern(pattern, *args, **kwargs)
+
+        monkeypatch.setattr(re, "compile", counting)
+        gazetteer = load_gazetteer(fixture_paths["gazetteer"])
+        assert compiled == []
+        # Candidates are the aliases whose lead word is one of the text's
+        # words, and every alias without a word character.
+        text = "Jane Miller met the Unity Party's leader, not Bob."
+        words = set(re.findall(r"\w+", text.lower()))
+        candidates = sorted(
+            alias.lower() for entry in gazetteer.entries for alias in entry.aliases
+            if (lead := re.search(r"\w+", alias.lower())) is None or lead.group() in words
+        )
+        assert candidates  # the text makes some aliases candidates, and not all of them
+        assert len(candidates) < sum(len(entry.aliases) for entry in gazetteer.entries)
+        counts = gazetteer.mention_counts(text)
+        assert sorted(compiled) == sorted(r"(?<!\w)" + re.escape(alias) + r"(?!\w)" for alias in candidates)
+        compiled.clear()
+        assert gazetteer.mention_counts(text) == counts
+        assert compiled == []
 
     def test_duplicate_gazetteer_id_rejected(self, tmp_path):
         path = tmp_path / "gaz.jsonl"
@@ -556,6 +589,17 @@ class TestEnrichCorpus:
             corpus.add(article(f"a{number}", text, 0.0))
         enrich_corpus(corpus)
         assert [item.complexity for item in corpus] == [complexity(text) for text in texts]
+
+    def test_activation_counts_as_the_text_alone(self):
+        """Dated articles reuse chaining's token lists; undated ones are
+        tokenized on their own."""
+        lexicon = {"good": 0.7, "awful": -0.4, "fine": 0.2}
+        texts = ["good good awful", "Awful, fine.", "nothing here", "GOOD fine fine", "awful"]
+        corpus = Corpus()
+        for number, text in enumerate(texts):
+            corpus.add(article(f"a{number}", text, None if number % 2 else number * HOUR))
+        enrich_corpus(corpus, lexicon=lexicon)
+        assert [item.activation for item in corpus] == [activation(text, lexicon) for text in texts]
 
     def test_unchained_articles_warned(self, fixture_paths):
         corpus = load_catalog(fixture_paths["news"])  # nothing carries a timestamp
