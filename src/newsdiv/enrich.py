@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -124,12 +123,8 @@ class Gazetteer:
     where no word character adjoins them, each occurrence one mention; of
     overlapping matches, only the leftmost, longest one counts.  An empty id
     or alias, an id or an alias (after case folding) listed twice, a kind
-    other than ``person`` or ``party``, or aliases given as one string is a
-    ParseError.
-
-    An alias's pattern is compiled the first time a text makes it a
-    candidate, and kept, so loading pays for no pattern and each alias
-    compiles at most once."""
+    other than ``person`` or ``party``, aliases given as one string or
+    holding a non-string, or a flag that is not a bool is a ParseError."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         self.entries = tuple(entries)
@@ -143,30 +138,27 @@ class Gazetteer:
         # lead word.  Aliases without a word character are always tried.
         self._by_lead: dict[str, list[tuple[int, str]]] = {}
         self._unindexed: list[tuple[int, str]] = []
-        self._patterns: dict[str, re.Pattern[str]] = {}
-        words: dict[str, list[str]] = {}  # alias -> its \w+ runs
+        seen: set[str] = set()
         for index, entry in enumerate(self.entries):
+            where = f"gazetteer entry {entry.canonical_id!r}"
             if entry.kind not in ("person", "party"):
-                raise ParseError(
-                    f"gazetteer entry {entry.canonical_id!r}: kind must be 'person' or 'party', got {entry.kind!r}"
-                )
+                raise ParseError(f"{where}: kind must be 'person' or 'party', got {entry.kind!r}")
             if isinstance(entry.aliases, str):
-                raise ParseError(f"gazetteer entry {entry.canonical_id!r}: aliases must be a sequence, not one string")
-            for alias in map(str.lower, entry.aliases):
-                if not alias or alias in words:
+                raise ParseError(f"{where}: aliases must be a sequence, not one string")
+            if not isinstance(entry.is_political, bool) or not isinstance(entry.in_knowledge_base, bool):
+                raise ParseError(f"{where}: is_political and in_knowledge_base must be bools")
+            for alias in entry.aliases:
+                if not isinstance(alias, str):
+                    raise ParseError(f"{where}: alias {alias!r} is not a string")
+                alias = alias.lower()
+                if not alias or alias in seen:
                     raise ParseError(f"{'duplicate' if alias else 'empty'} gazetteer alias {alias!r}")
-                runs = words[alias] = _WORD_RE.findall(alias)
-                if runs:
-                    self._by_lead.setdefault(runs[0], []).append((index, alias))
+                seen.add(alias)
+                lead = _WORD_RE.search(alias)
+                if lead:
+                    self._by_lead.setdefault(lead.group(), []).append((index, alias))
                 else:
                     self._unindexed.append((index, alias))
-        # Two aliases' matches can overlap only where the aliases share a word,
-        # or where one starts or ends with a non-word character.
-        shared = Counter(word for runs in words.values() for word in set(runs))
-        self._may_overlap = {
-            alias for alias, runs in words.items()
-            if not _WORD_RE.fullmatch(alias[0] + alias[-1]) or any(shared[word] > 1 for word in runs)
-        }
 
     def mention_counts(self, text: str) -> dict[str, int]:
         """Mentions per canonical id, in gazetteer order; ids without a match
@@ -175,36 +167,23 @@ class Gazetteer:
         candidates = list(self._unindexed)
         for word in set(_WORD_RE.findall(lowered)):
             candidates.extend(self._by_lead.get(word, ()))
-        patterns = self._patterns
-        mentions: dict[int, int] = {}
-        matched = []
-        may_overlap = False
+        # Every occurrence of a candidate that no word character adjoins, as
+        # (start, -length, entry index): sorted, the leftmost, longest comes first.
+        found = []
         for index, alias in candidates:
-            pattern = patterns.get(alias)
-            if pattern is None:
-                pattern = patterns[alias] = re.compile(r"(?<!\w)" + re.escape(alias) + r"(?!\w)")
-            found = len(pattern.findall(lowered))
-            if found:
-                mentions[index] = mentions.get(index, 0) + found
-                matched.append((index, pattern))
-                may_overlap = may_overlap or alias in self._may_overlap
-        if len(matched) > 1 and may_overlap:
-            mentions = _leftmost_longest(lowered, matched)
+            start = lowered.find(alias)
+            while start >= 0:
+                end = start + len(alias)
+                if not (start and _WORD_RE.match(lowered, start - 1, start) or _WORD_RE.match(lowered, end, end + 1)):
+                    found.append((start, -len(alias), index))
+                start = lowered.find(alias, start + 1)
+        mentions: dict[int, int] = {}
+        counted_end = 0
+        for start, negative_length, index in sorted(found):
+            if start >= counted_end:
+                mentions[index] = mentions.get(index, 0) + 1
+                counted_end = start - negative_length
         return {self.entries[index].canonical_id: mentions[index] for index in sorted(mentions)}
-
-
-def _leftmost_longest(lowered: str, matched: list[tuple[int, re.Pattern[str]]]) -> dict[int, int]:
-    """Mentions per entry index of the patterns ``matched``: of overlapping
-    matches the leftmost, longest counts, and the others search on from its end."""
-    mentions: dict[int, int] = {}
-    found = [(pattern.search(lowered), index, pattern) for index, pattern in matched]
-    while found:
-        match, index, _ = min(found, key=lambda item: (item[0].start(), -item[0].end()))
-        mentions[index] = mentions.get(index, 0) + 1
-        end = match.end()
-        found = [(next_match, other, pattern) for pending, other, pattern in found
-                 if (next_match := pending if pending.start() >= end else pattern.search(lowered, end))]
-    return mentions
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:

@@ -424,8 +424,13 @@ class TestEntities:
             ([("new",), ("new york",)], "new york, new", {"E1": 1, "E2": 1}),
             ([("new york",), ("york times",)], "the new york times", {"E1": 1}),
             ([("york times",), ("new york",)], "new york times in york times", {"E1": 1, "E2": 1}),
+            # An alias's own occurrences can overlap too.
+            ([("a a",)], "a a a", {"E1": 1}),
+            ([("..",)], "....", {"E1": 2}),
+            ([("a.a",)], "xa.a.a", {"E1": 1}),
         ],
-        ids=["one-entry", "nested", "nested-listed-first", "same-start", "partial", "partial-then-apart"],
+        ids=["one-entry", "nested", "nested-listed-first", "same-start", "partial", "partial-then-apart",
+             "self-overlap-words", "self-overlap-punctuation", "self-overlap-after-a-word-character"],
     )
     def test_overlapping_matches_count_only_the_leftmost_longest(self, aliases, text, expected):
         gazetteer = Gazetteer(
@@ -442,26 +447,36 @@ class TestEntities:
         assert tag_entities("Barack Obama spoke.", gazetteer) == (frozenset({"E1"}), 0, 1)
 
     @pytest.mark.parametrize(
-        "entries,message",
+        "entries,flags,message",
         [
-            ([("E1", "person", ("Obama", "obama"))], "duplicate gazetteer alias 'obama'"),
-            ([("E1", "person", ("Obama",)), ("E2", "party", ("OBAMA",))], "duplicate gazetteer alias 'obama'"),
-            ([("", "person", ("ann kovac",))], "empty gazetteer id"),
-            ([("E1", "person", ("Obama", ""))], "empty gazetteer alias ''"),
+            ([("E1", "person", ("Obama", "obama"))], (False, False), "duplicate gazetteer alias 'obama'"),
+            ([("E1", "person", ("Obama",)), ("E2", "party", ("OBAMA",))], (False, False),
+             "duplicate gazetteer alias 'obama'"),
+            ([("", "person", ("ann kovac",))], (False, False), "empty gazetteer id"),
+            ([("E1", "person", ("Obama", ""))], (False, False), "empty gazetteer alias ''"),
             # Tagged, 'Person' would count no voice: 'Ann Kovac spoke.' gave (E1, 0, 0).
-            ([("E1", "Person", ("ann kovac",))], "gazetteer entry 'E1': kind must be 'person' or 'party', got 'Person'"),
+            ([("E1", "Person", ("ann kovac",))], (False, False),
+             "gazetteer entry 'E1': kind must be 'person' or 'party', got 'Person'"),
             # One string would become one alias per letter: 'a ban on b and n' gave {'E1': 3}.
-            ([("E1", "person", "ban")], "gazetteer entry 'E1': aliases must be a sequence, not one string"),
+            ([("E1", "person", "ban")], (False, False),
+             "gazetteer entry 'E1': aliases must be a sequence, not one string"),
+            # str.lower raised a bare TypeError.
+            ([("E1", "person", ("ann", 5))], (False, False), "gazetteer entry 'E1': alias 5 is not a string"),
+            # Read by its truth value, 'no' made E1 a political actor in tag_entities('ann', ...).
+            ([("E1", "person", ("ann",))], ("no", False),
+             "gazetteer entry 'E1': is_political and in_knowledge_base must be bools"),
+            ([("E1", "person", ("ann",))], (False, 1),
+             "gazetteer entry 'E1': is_political and in_knowledge_base must be bools"),
         ],
         ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id", "empty-alias", "unknown-kind",
-             "aliases-as-one-string"],
+             "aliases-as-one-string", "non-string-alias", "non-bool-political", "non-bool-knowledge-base"],
     )
-    def test_directly_built_gazetteer_rejects(self, entries, message):
+    def test_directly_built_gazetteer_rejects(self, entries, flags, message):
         with pytest.raises(ParseError, match=message):
-            Gazetteer([GazetteerEntry(canonical_id, kind, aliases, False, False)
+            Gazetteer([GazetteerEntry(canonical_id, kind, aliases, *flags)
                        for canonical_id, kind, aliases in entries])
 
-    def test_patterns_compile_on_first_use_and_once(self, fixture_paths, monkeypatch):
+    def test_tagging_compiles_no_pattern(self, fixture_paths, monkeypatch):
         compiled = []
         compile_pattern = re.compile
 
@@ -471,20 +486,9 @@ class TestEntities:
 
         monkeypatch.setattr(re, "compile", counting)
         gazetteer = load_gazetteer(fixture_paths["gazetteer"])
-        assert compiled == []
-        # Candidates are the aliases whose lead word is one of the text's
-        # words, and every alias without a word character.
         text = "Jane Miller met the Unity Party's leader, not Bob."
-        words = set(re.findall(r"\w+", text.lower()))
-        candidates = sorted(
-            alias.lower() for entry in gazetteer.entries for alias in entry.aliases
-            if (lead := re.search(r"\w+", alias.lower())) is None or lead.group() in words
-        )
-        assert candidates  # the text makes some aliases candidates, and not all of them
-        assert len(candidates) < sum(len(entry.aliases) for entry in gazetteer.entries)
         counts = gazetteer.mention_counts(text)
-        assert sorted(compiled) == sorted(r"(?<!\w)" + re.escape(alias) + r"(?!\w)" for alias in candidates)
-        compiled.clear()
+        assert counts  # the text mentions some entries
         assert gazetteer.mention_counts(text) == counts
         assert compiled == []
 
