@@ -51,6 +51,7 @@ from .metrics import (
     calibration_complexity,
     calibration_topic,
     fragmentation,
+    representation,
     sample_fragmentation,
 )
 from .recommenders import click_counts, recommend_popular, recommend_random

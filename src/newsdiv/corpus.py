@@ -180,6 +180,16 @@ def read_lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Line number and first five tab-separated columns of each non-blank
+    line of a TSV file; columns after the fifth are ignored."""
+    for lineno, line in read_lines(path):
+        columns = line.split("\t")
+        if len(columns) < 5:
+            raise ParseError(f"{path}:{lineno}: expected at least 5 tab-separated columns, got {len(columns)}")
+        yield lineno, columns[:5]
+
+
 def id_table() -> Callable[[str], str]:
     """A function that maps each id to the first equal string it was given.
 
@@ -268,13 +278,7 @@ def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -
     news_path = Path(news_path)
     corpus = Corpus()
     first_lines: dict[str, int] = {}
-    for lineno, line in read_lines(news_path):
-        columns = line.split("\t")
-        if len(columns) < 5:
-            raise ParseError(
-                f"{news_path}:{lineno}: expected at least 5 tab-separated columns, got {len(columns)}"
-            )
-        article_id, category, subcategory, title, abstract = columns[:5]
+    for lineno, (article_id, category, subcategory, title, abstract) in read_rows(news_path):
         if not article_id:
             raise ParseError(f"{news_path}:{lineno}: empty article id")
         check_unique(first_lines, article_id, news_path, lineno, "article id", ParseError)
@@ -333,13 +337,7 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
     shared = id_table()
     # Each distinct well-formed candidate token, parsed once.
     parsed: dict[str, tuple[str, bool]] = {}
-    for lineno, line in read_lines(path):
-        columns = line.split("\t")
-        if len(columns) < 5:
-            raise ParseError(
-                f"{path}:{lineno}: expected 5 tab-separated columns, got {len(columns)}"
-            )
-        impression_id, user_id, time_text, history_text, candidates_text = columns[:5]
+    for lineno, (impression_id, user_id, time_text, history_text, candidates_text) in read_rows(path):
         if not impression_id:
             raise ValidationError(f"{path}:{lineno}: empty impression id")
         if "|" in impression_id:

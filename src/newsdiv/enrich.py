@@ -121,18 +121,13 @@ class GazetteerEntry:
 class Gazetteer:
     """Alias table for entity tagging: aliases match case-insensitively
     where no word character adjoins them, each occurrence one mention; of
-    overlapping matches, only the leftmost, longest one counts.  An empty id
-    or alias, an id or an alias (after case folding) listed twice, a kind
-    other than ``person`` or ``party``, aliases given as one string or
-    holding a non-string, or a flag that is not a bool is a ParseError."""
+    overlapping matches, only the leftmost, longest one counts.  An empty or
+    non-string id, no aliases, an empty alias, an id or alias (case folded)
+    listed twice, a kind other than ``person`` or ``party``, aliases given as
+    one string or holding a non-string, or a non-bool flag is a ParseError."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         self.entries = tuple(entries)
-        self._by_id = {entry.canonical_id: entry for entry in self.entries}
-        if len(self._by_id) < len(self.entries):
-            raise ParseError("duplicate gazetteer ids")
-        if "" in self._by_id:
-            raise ParseError("empty gazetteer id")
         # No word character adjoins a match, so an alias's first \w+ run (its
         # lead word) is one of the text's \w+ runs: aliases are indexed by
         # lead word.  Aliases without a word character are always tried.
@@ -141,10 +136,14 @@ class Gazetteer:
         seen: set[str] = set()
         for index, entry in enumerate(self.entries):
             where = f"gazetteer entry {entry.canonical_id!r}"
+            if not isinstance(entry.canonical_id, str):
+                raise ParseError(f"{where}: canonical_id must be a string")
             if entry.kind not in ("person", "party"):
                 raise ParseError(f"{where}: kind must be 'person' or 'party', got {entry.kind!r}")
             if isinstance(entry.aliases, str):
                 raise ParseError(f"{where}: aliases must be a sequence, not one string")
+            if not entry.aliases:
+                raise ParseError(f"{where}: aliases must be non-empty")
             if not isinstance(entry.is_political, bool) or not isinstance(entry.in_knowledge_base, bool):
                 raise ParseError(f"{where}: is_political and in_knowledge_base must be bools")
             for alias in entry.aliases:
@@ -159,6 +158,11 @@ class Gazetteer:
                     self._by_lead.setdefault(lead.group(), []).append((index, alias))
                 else:
                     self._unindexed.append((index, alias))
+        self._by_id = {entry.canonical_id: entry for entry in self.entries}
+        if len(self._by_id) < len(self.entries):
+            raise ParseError("duplicate gazetteer ids")
+        if "" in self._by_id:
+            raise ParseError("empty gazetteer id")
 
     def mention_counts(self, text: str) -> dict[str, int]:
         """Mentions per canonical id, in gazetteer order; ids without a match
@@ -316,11 +320,11 @@ def _document_tokens(articles: Iterable[Article]) -> dict[str, list[str]]:
 def _chain(
     articles: Sequence[Article], document_tokens: Mapping[str, list[str]], tau: float, window_seconds: float
 ) -> dict[str, str]:
-    """:func:`chain_articles` over the articles' ``document_tokens``."""
+    """:func:`chain_articles` over ``articles``, each tokenized in ``document_tokens``."""
     check_chaining(tau, window_seconds)
     idf: dict[str, float] = {}  # document frequencies, then their IDF in place
-    for tokens in document_tokens.values():
-        for token in set(tokens):
+    for article in articles:
+        for token in set(document_tokens[article.id]):
             idf[token] = idf.get(token, 0) + 1
     total = len(articles)
     for token, df in idf.items():
@@ -411,8 +415,7 @@ def enrich_corpus(
     # are broken by id, never by the catalog's line order.
     dated = [article for article in corpus if article.published_at is not None]
     dated.sort(key=lambda article: (article.published_at, article.id))
-    # Chaining and activation share one token list per dated article.
-    tokens = _document_tokens(dated)
+    tokens = _document_tokens(corpus)  # one token list per article, for chaining and activation
     chain_of = _chain(dated, tokens, tau, window_seconds)
     undated = len(corpus) - len(dated)
     if undated:
@@ -421,13 +424,13 @@ def enrich_corpus(
     syllables = functools.cache(count_syllables)  # one count per distinct word of this run
     for article in list(corpus):
         text = article.text()
-        words = tokens.pop(article.id, None)
+        words = tokens.pop(article.id)
         fields: dict[str, object] = {
             "complexity": complexity(text, syllables),
             "chain_id": chain_of.get(article.id),
         }
         if lexicon is not None and text:
-            fields["activation"] = _activation(tokenize(text) if words is None else words, lexicon)
+            fields["activation"] = _activation(words, lexicon)
         if gazetteer is not None:
             actors, minority, majority = tag_entities(text, gazetteer)
             fields.update(

@@ -268,8 +268,7 @@ def _start_scoring(
                 os.close(read_fd)
                 _score_in_child(scorer, impressions, write_fd)
             os.close(write_fd)
-            own_ids = {impression.impression_id: impression.impression_id for impression, _ in impressions}
-            return partial(_finish_child, pid, read_fd, own_ids, thaw)
+            return partial(_finish_child, pid, read_fd, thaw)
     for impression, entries in impressions:
         scorer.score_impression(impression, entries)
     scored = scorer.rows
@@ -308,9 +307,9 @@ def _score_in_child(scorer: _Scorer, impressions: Sequence, write_fd: int) -> No
         os._exit(0)
 
 
-def _finish_child(pid: int, read_fd: int, own_ids: Mapping[str, str], thaw: bool) -> dict[tuple, Rows]:
-    """Read the child's rows, reap the child, raise its exception if it sent
-    one, and give each row the caller's own id from ``own_ids``."""
+def _finish_child(pid: int, read_fd: int, thaw: bool) -> dict[tuple, Rows]:
+    """Read the child's rows, reap the child and raise its exception if it
+    sent one.  The rows are one pickle: one object per impression id."""
     import pickle
 
     try:
@@ -327,9 +326,6 @@ def _finish_child(pid: int, read_fd: int, own_ids: Mapping[str, str], thaw: bool
         raise RuntimeError(f"the scoring child ended without its result (exit {code})")
     if isinstance(result, BaseException):
         raise result
-    for rows in result.values():
-        for pair_ids, _ in rows:
-            pair_ids[:] = map(own_ids.__getitem__, pair_ids)
     return result
 
 

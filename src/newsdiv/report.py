@@ -76,14 +76,14 @@ def write_samples_csv(rows: Mapping[tuple, Rows], path: str | Path) -> None:
         writer.writerow(values)
         return buffer.getvalue()[:-1]
 
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(fields(*SAMPLE_COLUMNS) + "\n")
+    def lines():
+        yield fields(*SAMPLE_COLUMNS)
         for key, both in rows.items():
             prefix = fields(*key)
-            handle.writelines(
-                f"{prefix},{fields(pair_id) if _quotable(pair_id) else pair_id},{value!r}\n"
-                for pair_id, value in zip(*both.samples)
-            )
+            for pair_id, value in zip(*both.samples):
+                yield f"{prefix},{fields(pair_id) if _quotable(pair_id) else pair_id},{value!r}"
+
+    write_lines(path, lines())
 
 
 def _quotable(text: str) -> bool:

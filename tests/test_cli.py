@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import newsdiv
+from newsdiv import corpus as corpus_module, report as report_module
 from newsdiv.cli import build_parser, main
 from newsdiv.config import OPTION_KEYS, RunConfig, load_config_file
 from newsdiv.corpus import load_behaviors, load_recommendations
@@ -374,6 +375,24 @@ class TestRecommendCommand:
         assert first.read_bytes() == second.read_bytes()
 
 
+def test_every_output_file_goes_through_write_lines(fixture_paths, tmp_path, monkeypatch):
+    """``corpus.write_lines`` is the one writer: an ``evaluate`` run and an
+    ``enrich`` run write exactly the files passed to it."""
+    written = []
+    write_lines = corpus_module.write_lines
+
+    def recording(path, lines):
+        written.append(Path(path))
+        write_lines(path, lines)
+
+    for module in (corpus_module, report_module):
+        monkeypatch.setattr(module, "write_lines", recording)
+    assert main(["evaluate", *base_args(fixture_paths, tmp_path / "out")]) == 0
+    assert main(["enrich", "--news", str(fixture_paths["news"]), "-o", str(tmp_path / "enriched.jsonl")]) == 0
+    assert sorted(written) == sorted(path for path in tmp_path.rglob("*") if path.is_file())
+    assert sorted(path.name for path in written) == ["enriched.jsonl", "report.json", "samples.csv", "skips.json"]
+
+
 class TestEnrichCommand:
     def test_records_hold_every_article_field(self, fixture_paths, tmp_path):
         out = tmp_path / "enriched.jsonl"
@@ -571,6 +590,7 @@ class TestUsageErrors:
             (["evaluate", "--divergence", "foo"], "invalid choice: 'foo'"),
             (["evaluate", "--workers", "2"], "unrecognized arguments: --workers 2"),
             ([], "the following arguments are required: command"),
+            (["enrich", "-o", "enriched.jsonl"], "error: --news is required for this command"),
         ],
     )
     def test_exit_one_with_message(self, argv, message, capsys):

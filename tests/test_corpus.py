@@ -7,6 +7,7 @@ import pytest
 
 from newsdiv.corpus import (
     Article,
+    Corpus,
     dump_recommendations,
     load_behaviors,
     load_catalog,
@@ -142,6 +143,16 @@ def test_malformed_impression_named_with_its_line(tmp_path, line, message):
     path.write_text(FIRST_IMPRESSION + line + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=re.escape(f"{path}:2: {message}") + "$"):
         load_behaviors(path)
+
+
+@pytest.mark.parametrize("load", [load_catalog, load_behaviors])
+def test_short_row_names_its_line_and_column_count(tmp_path, load):
+    """Both TSV loaders read through one column check, with one message."""
+    path = tmp_path / "input.tsv"
+    path.write_text("x\ty\tz\n", encoding="utf-8")
+    message = f"{path}:1: expected at least 5 tab-separated columns, got 3"
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        load(path)
 
 
 class TestSharedIds:
@@ -364,6 +375,15 @@ class TestInvariants:
         )
         impressions = load_behaviors(path)
         assert missing_article_ids(impressions, corpus) == ["NZ2", "NZ9"]
+
+    def test_corpus_add_and_update_check_the_id(self):
+        corpus = Corpus()
+        corpus.add(Article(id="A"))
+        with pytest.raises(ValidationError, match="^duplicate article id 'A'$"):
+            corpus.add(Article(id="A", title="again"))
+        with pytest.raises(KeyError, match="B"):
+            corpus.update(Article(id="B"))
+        assert list(corpus) == [Article(id="A")]
 
     def test_article_range_invariants(self):
         with pytest.raises(ValidationError):

@@ -260,3 +260,7 @@ class TestDiscreteDistribution:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             RankWeighting("mrr", 0)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="^unknown weighting scheme 'bogus'$"):
+            RankWeighting("bogus")

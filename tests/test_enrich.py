@@ -51,7 +51,7 @@ class TestComplexity:
 
     @pytest.mark.parametrize(
         "word,expected",
-        [("the", 1), ("mate", 1), ("foxes", 2), ("lazy", 2), ("brown", 1), ("over", 2)],
+        [("the", 1), ("mate", 1), ("foxes", 2), ("lazy", 2), ("brown", 1), ("over", 2), ("", 0)],
     )
     def test_syllable_heuristic(self, word, expected):
         assert count_syllables(word) == expected
@@ -453,6 +453,7 @@ class TestEntities:
             ([("E1", "person", ("Obama",)), ("E2", "party", ("OBAMA",))], (False, False),
              "duplicate gazetteer alias 'obama'"),
             ([("", "person", ("ann kovac",))], (False, False), "empty gazetteer id"),
+            ([("E1", "person", ("ann",)), ("E1", "party", ("bob",))], (False, False), "duplicate gazetteer ids"),
             ([("E1", "person", ("Obama", ""))], (False, False), "empty gazetteer alias ''"),
             # Tagged, 'Person' would count no voice: 'Ann Kovac spoke.' gave (E1, 0, 0).
             ([("E1", "Person", ("ann kovac",))], (False, False),
@@ -467,9 +468,16 @@ class TestEntities:
              "gazetteer entry 'E1': is_political and in_knowledge_base must be bools"),
             ([("E1", "person", ("ann",))], (False, 1),
              "gazetteer entry 'E1': is_political and in_knowledge_base must be bools"),
+            # Accepted, the entry could never match.
+            ([("E1", "person", ())], (False, False), "gazetteer entry 'E1': aliases must be non-empty"),
+            ([(5, "person", ("ann",))], (False, False), "gazetteer entry 5: canonical_id must be a string"),
+            # Unhashable, the id raised a bare TypeError.
+            ([(["E1"], "person", ("ann",))], (False, False),
+             r"gazetteer entry \['E1'\]: canonical_id must be a string"),
         ],
-        ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id", "empty-alias", "unknown-kind",
-             "aliases-as-one-string", "non-string-alias", "non-bool-political", "non-bool-knowledge-base"],
+        ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id", "repeated-id", "empty-alias", "unknown-kind",
+             "aliases-as-one-string", "non-string-alias", "non-bool-political", "non-bool-knowledge-base",
+             "no-aliases", "non-string-id", "unhashable-id"],
     )
     def test_directly_built_gazetteer_rejects(self, entries, flags, message):
         with pytest.raises(ParseError, match=message):
@@ -515,7 +523,8 @@ class TestEntities:
         st.lists(st.one_of(ALIASES, st.sampled_from(SEPARATORS), st.text(TEXT_CHARS, max_size=4))),
     )
     def test_indexed_lookup_matches_every_alias_scan(self, drafts, pieces):
-        # An alias listed twice is an error, so each keeps its first listing.
+        # An alias listed twice is an error, so each keeps its first listing,
+        # and so is an entry without aliases, so one left with none is dropped.
         seen = set()
         entries = []
         for number, (aliases, kind, political, linked) in enumerate(drafts):
@@ -524,7 +533,8 @@ class TestEntities:
                 if alias.lower() not in seen:
                     seen.add(alias.lower())
                     kept.append(alias)
-            entries.append(GazetteerEntry(f"E{number}", kind, tuple(kept), political, linked))
+            if kept:
+                entries.append(GazetteerEntry(f"E{number}", kind, tuple(kept), political, linked))
         gazetteer = Gazetteer(entries)
         text = "".join(pieces)
         expected = reference_mention_counts(gazetteer, text)

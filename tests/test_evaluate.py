@@ -414,6 +414,11 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="grid repeats a point"):
             evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=5), grid)
 
+    def test_unknown_pool(self, world):
+        corpus, impressions = world
+        with pytest.raises(ValueError, match="^unknown pool 'weekly'$"):
+            evaluate_recommendations(corpus, impressions, {}, MetricConfig(), FULL_GRID, pool="weekly")
+
     def test_empty_grid(self, world):
         corpus, impressions = world
         impressions = impressions[:12]
@@ -535,13 +540,12 @@ class TestForkedScoring:
         assert column_bytes(forked) == column_bytes(inline)
         assert forked.sample_count > 0 and forked.skip_count > 0
 
-    def test_rows_hold_the_parents_impression_ids(self, world, forks):
+    def test_rows_hold_one_object_per_impression_id(self, world, forks):
         corpus, impressions = world
         result = evaluate_recommendations(
             corpus, impressions, self.recommendations(corpus, impressions), MetricConfig(seed=3), self.GRID
         )
         assert len(forks) == 1
-        own = {id(impression.impression_id) for impression in impressions}
         pair_ids = [
             pair_id
             for key, rows in result.rows.items()
@@ -549,8 +553,23 @@ class TestForkedScoring:
             for columns in rows
             for pair_id in columns.pair_ids
         ]
-        assert pair_ids
-        assert all(id(pair_id) in own for pair_id in pair_ids)
+        assert len(set(pair_ids)) == 50
+        assert len({id(pair_id) for pair_id in pair_ids}) == 50
+
+    def test_fragmentation_error_reaps_the_child_and_is_raised(self, world, forks, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("fragmentation failed")
+
+        monkeypatch.setattr(evaluate_module, "sample_fragmentation", fail)
+        corpus, impressions = world
+        with pytest.raises(RuntimeError, match="^fragmentation failed$"):
+            evaluate_recommendations(
+                corpus, impressions, self.recommendations(corpus, impressions), MetricConfig(seed=3), self.GRID
+            )
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        assert gc.get_freeze_count() == 0
 
     def test_child_is_reaped_and_heap_thawed(self, world, forks):
         corpus, impressions = world
@@ -671,6 +690,17 @@ class TestDuplicateImpressions:
                 corpus,
                 impressions,
                 {"random": [*lists, lists[0]]},
+                MetricConfig(),
+                build_grid(["js"], ["mrr"], [0]),
+            )
+
+    def test_list_for_an_unknown_impression_rejected(self, world):
+        corpus, impressions = world
+        with pytest.raises(ValidationError, match="^recommendation references unknown impression 'I0000'$"):
+            evaluate_recommendations(
+                corpus,
+                impressions[1:],
+                {"random": [recommend_random(impressions[0], seed=1)]},
                 MetricConfig(),
                 build_grid(["js"], ["mrr"], [0]),
             )

@@ -40,6 +40,9 @@ PROBES = [
     ("bodies", {"id": "N1", "published_at": "yesterday"}, "unparseable timestamp 'yesterday'"),
     ("bodies", {"id": "N1", "body": "Other text entirely."}, "duplicate article id 'N1' (first on line 1)"),
     ("sidecar", {"id": "N1", "complexity": math.nan}, "'complexity' must be a finite number"),
+    ("bodies", {"id": "", "body": "Text."}, "empty 'id'"),
+    ("gazetteer", {**GAZETTEER_ENTRY, "kind": "org"}, "kind must be 'person' or 'party', got 'org'"),
+    ("gazetteer", {**GAZETTEER_ENTRY, "aliases": []}, "aliases must be non-empty"),
 ]
 
 

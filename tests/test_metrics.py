@@ -3,6 +3,8 @@ import math
 import pytest
 from scipy.spatial import distance as sp_distance
 
+import newsdiv
+from newsdiv import metrics
 from newsdiv.corpus import Article
 from newsdiv.distrib import RankWeighting
 from newsdiv.errors import EmptyDistributionError
@@ -19,6 +21,15 @@ from newsdiv.metrics import (
     sample_fragmentation,
 )
 from newsdiv.seeding import derive_rng
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["activation_divergence", "alternative_voices", "calibration_complexity", "calibration_topic",
+     "fragmentation", "representation"],
+)
+def test_every_metric_function_is_exported(name):
+    assert getattr(newsdiv, name) is getattr(metrics, name)
 
 
 def art(article_id="A", **fields):
@@ -284,6 +295,13 @@ class TestFragmentationSampling:
         forward = fragmentation_partners(["I0", "I1", "I2"], pairs=1, seed=3)
         shuffled = fragmentation_partners(["I2", "I0", "I1"], pairs=1, seed=3)
         assert forward == shuffled
+
+    @pytest.mark.parametrize(
+        "ids, pairs, message", [(["I0", "I1"], 0, "pairs must be >= 1"), (["I0", "I1", "I0"], 1, "ids must be unique")]
+    )
+    def test_partner_draw_rejects(self, ids, pairs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fragmentation_partners(ids, pairs=pairs, seed=3)
 
     @pytest.mark.parametrize("n, pairs", [(2, 5), (3, 1), (7, 5), (500, 600), (3600, 5), (6000, 2)])
     def test_partner_draw_matches_list_copy_reference(self, n, pairs):
