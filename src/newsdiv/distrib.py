@@ -52,6 +52,8 @@ class RankWeighting:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown weighting scheme {self.scheme!r}")
+        if self.cutoff is not None and type(self.cutoff) is not int:
+            raise TypeError(f"cutoff must be an int or None, got {self.cutoff!r}")
         if self.cutoff is not None and self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1 when set, got {self.cutoff}")
 

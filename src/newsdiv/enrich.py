@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import (COMPLEXITY_TOP, Article, Corpus, ImpressionLog, check_unique, id_table, read_lines,
                      read_records, write_records)
@@ -111,20 +111,37 @@ def _activation(tokens: Iterable[str], lexicon: Mapping[str, float]) -> float:
 
 @dataclass(frozen=True)
 class GazetteerEntry:
+    """One gazetteer entry, from code or :func:`load_gazetteer`: a non-string
+    or empty id, a kind other than ``person`` or ``party``, aliases other than
+    a non-empty sequence of non-empty strings, or a non-bool flag is a ParseError."""
+
     canonical_id: str
     kind: str  # "person" | "party"
     aliases: tuple[str, ...]
     is_political: bool
     in_knowledge_base: bool
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.canonical_id, str):
+            raise ParseError(f"canonical_id must be a string, got {self.canonical_id!r:.60}")
+        if not self.canonical_id:
+            raise ParseError("empty 'canonical_id'")
+        if self.kind not in ("person", "party"):
+            raise ParseError(f"kind must be 'person' or 'party', got {self.kind!r}")
+        if isinstance(self.aliases, str) or not isinstance(self.aliases, Sequence) or any(
+                not isinstance(alias, str) for alias in self.aliases):
+            raise ParseError(f"aliases must be a sequence of strings, got {self.aliases!r:.60}")
+        if not self.aliases or not all(self.aliases):
+            raise ParseError("aliases must be non-empty")
+        if not isinstance(self.is_political, bool) or not isinstance(self.in_knowledge_base, bool):
+            raise ParseError("is_political and in_knowledge_base must be bools")
+
 
 class Gazetteer:
     """Alias table for entity tagging: aliases match case-insensitively
     where no word character adjoins them, each occurrence one mention; of
-    overlapping matches, only the leftmost, longest one counts.  An empty or
-    non-string id, no aliases, an empty alias, an id or alias (case folded)
-    listed twice, a kind other than ``person`` or ``party``, aliases given as
-    one string or holding a non-string, or a non-bool flag is a ParseError."""
+    overlapping matches, only the leftmost, longest one counts.  An id, or
+    an alias (case folded), listed twice is a ParseError."""
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         self.entries = tuple(entries)
@@ -133,36 +150,21 @@ class Gazetteer:
         # lead word.  Aliases without a word character are always tried.
         self._by_lead: dict[str, list[tuple[int, str]]] = {}
         self._unindexed: list[tuple[int, str]] = []
+        self._by_id: dict[str, GazetteerEntry] = {}
         seen: set[str] = set()
         for index, entry in enumerate(self.entries):
-            where = f"gazetteer entry {entry.canonical_id!r}"
-            if not isinstance(entry.canonical_id, str):
-                raise ParseError(f"{where}: canonical_id must be a string")
-            if entry.kind not in ("person", "party"):
-                raise ParseError(f"{where}: kind must be 'person' or 'party', got {entry.kind!r}")
-            if isinstance(entry.aliases, str):
-                raise ParseError(f"{where}: aliases must be a sequence, not one string")
-            if not entry.aliases:
-                raise ParseError(f"{where}: aliases must be non-empty")
-            if not isinstance(entry.is_political, bool) or not isinstance(entry.in_knowledge_base, bool):
-                raise ParseError(f"{where}: is_political and in_knowledge_base must be bools")
+            if self._by_id.setdefault(entry.canonical_id, entry) is not entry:
+                raise ParseError(f"duplicate gazetteer id {entry.canonical_id!r}")
             for alias in entry.aliases:
-                if not isinstance(alias, str):
-                    raise ParseError(f"{where}: alias {alias!r} is not a string")
                 alias = alias.lower()
-                if not alias or alias in seen:
-                    raise ParseError(f"{'duplicate' if alias else 'empty'} gazetteer alias {alias!r}")
+                if alias in seen:
+                    raise ParseError(f"duplicate alias {alias!r}")
                 seen.add(alias)
                 lead = _WORD_RE.search(alias)
                 if lead:
                     self._by_lead.setdefault(lead.group(), []).append((index, alias))
                 else:
                     self._unindexed.append((index, alias))
-        self._by_id = {entry.canonical_id: entry for entry in self.entries}
-        if len(self._by_id) < len(self.entries):
-            raise ParseError("duplicate gazetteer ids")
-        if "" in self._by_id:
-            raise ParseError("empty gazetteer id")
 
     def mention_counts(self, text: str) -> dict[str, int]:
         """Mentions per canonical id, in gazetteer order; ids without a match
@@ -191,38 +193,26 @@ class Gazetteer:
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
-    """Gazetteer JSON lines: ``{"canonical_id", "kind", "aliases",
-    "is_political", "in_knowledge_base"}``.
-
-    Aliases match case-insensitively, so an alias listed twice, in any case,
-    within one entry or across two, is a ParseError: it would count each
-    mention once per listing."""
+    """Gazetteer JSON lines ``{"canonical_id", "kind", "aliases",
+    "is_political", "in_knowledge_base"}``, each checked by
+    :class:`GazetteerEntry` (its ParseError gains the line).  An id, or an
+    alias in any case, listed twice is a ParseError naming both lines: an
+    alias would count each mention once per listing."""
     path = Path(path)
     entries = []
     first_lines: dict[str, int] = {}
     alias_lines: dict[str, int] = {}
     for record in read_records(path):
-        canonical_id = record.get("canonical_id", str)
-        if not canonical_id:
-            raise ParseError(f"{record.where}: empty 'canonical_id'")
-        kind = record.get("kind", str, None)
-        if kind not in ("person", "party"):
-            raise ParseError(f"{record.where}: kind must be 'person' or 'party', got {kind!r}")
-        aliases = record.get("aliases", list, [])
-        if not aliases or not all(aliases):
-            raise ParseError(f"{record.where}: aliases must be non-empty")
-        check_unique(first_lines, canonical_id, path, record.lineno, "gazetteer id", ParseError)
-        for alias in aliases:
+        fields = (record.get("canonical_id", str), record.get("kind", str, None), tuple(record.get("aliases", list, [])))
+        flags = (record.get("is_political", bool, False), record.get("in_knowledge_base", bool, False))
+        try:
+            entry = GazetteerEntry(*fields, *flags)
+        except ParseError as exc:
+            raise ParseError(f"{record.where}: {exc}") from None
+        check_unique(first_lines, entry.canonical_id, path, record.lineno, "gazetteer id", ParseError)
+        for alias in entry.aliases:
             check_unique(alias_lines, alias.lower(), path, record.lineno, "alias", ParseError)
-        entries.append(
-            GazetteerEntry(
-                canonical_id=canonical_id,
-                kind=kind,
-                aliases=tuple(aliases),
-                is_political=record.get("is_political", bool, False),
-                in_knowledge_base=record.get("in_knowledge_base", bool, False),
-            )
-        )
+        entries.append(entry)
     return Gazetteer(entries)
 
 
@@ -468,8 +458,6 @@ def load_sidecar(path: str | Path, corpus: Corpus) -> Corpus:
                 overrides[name] = frozenset(value) if kind is list else value
         if article_id not in corpus:
             corpus.warn(f"{record.where}: sidecar record for unknown article {article_id!r} skipped")
-            continue
-        if not overrides:
             continue
         try:
             updated = replace(corpus[article_id], **overrides)

@@ -64,6 +64,9 @@ class MetricConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("activation_bins", "complexity_bins", "fragmentation_pairs"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
         for bin_count in (self.activation_bins, self.complexity_bins):
             if bin_count < 2:
                 raise ValueError(f"degenerate binning: bin_count must be >= 2, got {bin_count}")

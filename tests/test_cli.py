@@ -416,6 +416,21 @@ class TestEnrichCommand:
         assert main(["enrich", *args, "-o", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("nulls", [{}, {"complexity": None, "chain_id": None, "political_actors": None}],
+                             ids=["id-only", "null-fields"])
+    def test_sidecar_without_values_changes_nothing(self, fixture_paths, tmp_path, capsys, nulls):
+        args = ["enrich", *(item for role in ("news", "bodies", "lexicon", "gazetteer")
+                            for item in (f"--{role}", str(fixture_paths[role])))]
+        assert main([*args, "-o", str(tmp_path / "plain.jsonl")]) == 0
+        plain_err = capsys.readouterr().err  # the fixture's bodies file warns once
+        ids = [json.loads(line)["id"] for line in (tmp_path / "plain.jsonl").read_text(encoding="utf-8").splitlines()]
+        sidecar = tmp_path / "sidecar.jsonl"
+        sidecar.write_text("".join(json.dumps({"id": article_id, **nulls}) + "\n" for article_id in ids),
+                           encoding="utf-8")
+        assert main([*args, "--sidecar", str(sidecar), "-o", str(tmp_path / "enriched.jsonl")]) == 0
+        assert (tmp_path / "enriched.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+        assert capsys.readouterr().err == plain_err
+
     def test_without_gazetteer_entity_fields_empty(self, fixture_paths, tmp_path):
         out = tmp_path / "enriched.jsonl"
         code = main(

@@ -176,6 +176,14 @@ class TestBinning:
             with pytest.raises(ValueError, match="degenerate binning: bin_count must be >= 2, got 1"):
                 MetricConfig(**counts)
 
+    # Accepted, 2.5 bins mapped a complexity of 100.0 to the key 'bin_1.5';
+    # True read as one bin got the degenerate-binning message.
+    @pytest.mark.parametrize("name", ["activation_bins", "complexity_bins"])
+    @pytest.mark.parametrize("count", [2.5, 10.0, True])
+    def test_bin_count_must_be_an_int(self, name, count):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {count!r}$"):
+            MetricConfig(**{name: count})
+
 
 class TestSmoothing:
     def test_mixing_example(self):
@@ -260,6 +268,20 @@ class TestDiscreteDistribution:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             RankWeighting("mrr", 0)
+
+    # Accepted, True read as cutoff 1 and 2.0 sliced nothing: items[:2.0] raised a bare TypeError.
+    @pytest.mark.parametrize("cutoff", [True, False, 2.0, "3"])
+    def test_cutoff_must_be_an_int(self, cutoff):
+        with pytest.raises(TypeError, match=f"^cutoff must be an int or None, got {cutoff!r}$"):
+            RankWeighting("mrr", cutoff)
+
+    def test_equality_and_repr(self):
+        dist = DiscreteDistribution({"b": 0.75, "a": 0.25})
+        assert dist == DiscreteDistribution({"a": 0.25, "b": 0.75})
+        assert dist != DiscreteDistribution({"a": 0.75, "b": 0.25})
+        assert dist != {"a": 0.25, "b": 0.75}
+        third = DiscreteDistribution({"b": 2 / 3, "a": 1 / 3})
+        assert repr(third) == "DiscreteDistribution({a: 0.333333, b: 0.666667})"
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="^unknown weighting scheme 'bogus'$"):

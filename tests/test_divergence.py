@@ -125,6 +125,13 @@ class TestGeneratorForm:
         # limit term p/2 where q == 0, q/2 where p == 0
         assert f_divergence(dist(1.0, 0.0), dist(0.0, 1.0), "js") == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind,divergence", [("kl", kl), ("js", js)])
+    def test_key_empty_on_both_sides_adds_nothing(self, kind, divergence):
+        # For kl, a key with q == 0 is otherwise an unsmoothed zero.
+        p, q = dist(0.25, 0.0, 0.75), dist(0.5, 0.0, 0.5)
+        assert f_divergence(p, q, kind) == pytest.approx(divergence(p, q), abs=1e-12)
+        assert f_divergence(p, q, kind) == f_divergence(dist(0.25, 0.75), dist(0.5, 0.5), kind)
+
     def test_kl_generator_raises_on_zero_q(self):
         with pytest.raises(UnsmoothedZeroError):
             f_divergence(dist(0.5, 0.5), dist(1.0, 0.0), "kl")

@@ -447,42 +447,51 @@ class TestEntities:
         assert tag_entities("Barack Obama spoke.", gazetteer) == (frozenset({"E1"}), 0, 1)
 
     @pytest.mark.parametrize(
-        "entries,flags,message",
+        "entries,flags,message,line",
         [
-            ([("E1", "person", ("Obama", "obama"))], (False, False), "duplicate gazetteer alias 'obama'"),
+            # Rules the loader shares: a file of the same entries is rejected
+            # on ``line`` with the same message, a repeat naming line 1 too.
+            ([("E1", "person", ("Obama", "obama"))], (False, False), "duplicate alias 'obama'", 1),
             ([("E1", "person", ("Obama",)), ("E2", "party", ("OBAMA",))], (False, False),
-             "duplicate gazetteer alias 'obama'"),
-            ([("", "person", ("ann kovac",))], (False, False), "empty gazetteer id"),
-            ([("E1", "person", ("ann",)), ("E1", "party", ("bob",))], (False, False), "duplicate gazetteer ids"),
-            ([("E1", "person", ("Obama", ""))], (False, False), "empty gazetteer alias ''"),
+             "duplicate alias 'obama'", 2),
+            ([("", "person", ("ann kovac",))], (False, False), "empty 'canonical_id'", 1),
+            ([("E1", "person", ("ann",)), ("E1", "party", ("bob",))], (False, False),
+             "duplicate gazetteer id 'E1'", 2),
+            ([("E1", "person", ("Obama", ""))], (False, False), "aliases must be non-empty", 1),
             # Tagged, 'Person' would count no voice: 'Ann Kovac spoke.' gave (E1, 0, 0).
-            ([("E1", "Person", ("ann kovac",))], (False, False),
-             "gazetteer entry 'E1': kind must be 'person' or 'party', got 'Person'"),
-            # One string would become one alias per letter: 'a ban on b and n' gave {'E1': 3}.
-            ([("E1", "person", "ban")], (False, False),
-             "gazetteer entry 'E1': aliases must be a sequence, not one string"),
-            # str.lower raised a bare TypeError.
-            ([("E1", "person", ("ann", 5))], (False, False), "gazetteer entry 'E1': alias 5 is not a string"),
-            # Read by its truth value, 'no' made E1 a political actor in tag_entities('ann', ...).
-            ([("E1", "person", ("ann",))], ("no", False),
-             "gazetteer entry 'E1': is_political and in_knowledge_base must be bools"),
-            ([("E1", "person", ("ann",))], (False, 1),
-             "gazetteer entry 'E1': is_political and in_knowledge_base must be bools"),
+            ([("E1", "Person", ("ann kovac",))], (False, False), "kind must be 'person' or 'party', got 'Person'", 1),
             # Accepted, the entry could never match.
-            ([("E1", "person", ())], (False, False), "gazetteer entry 'E1': aliases must be non-empty"),
-            ([(5, "person", ("ann",))], (False, False), "gazetteer entry 5: canonical_id must be a string"),
+            ([("E1", "person", ())], (False, False), "aliases must be non-empty", 1),
+            # Rules only code can break: the loader's field types rule them out.
+            # One string would become one alias per letter: 'a ban on b and n' gave {'E1': 3}.
+            ([("E1", "person", "ban")], (False, False), "aliases must be a sequence of strings, got 'ban'", None),
+            # str.lower raised a bare TypeError.
+            ([("E1", "person", ("ann", 5))], (False, False),
+             "aliases must be a sequence of strings, got ('ann', 5)", None),
+            # Iterating it raised a bare TypeError.
+            ([("E1", "person", 5)], (False, False), "aliases must be a sequence of strings, got 5", None),
+            # Read by its truth value, 'no' made E1 a political actor in tag_entities('ann', ...).
+            ([("E1", "person", ("ann",))], ("no", False), "is_political and in_knowledge_base must be bools", None),
+            ([("E1", "person", ("ann",))], (False, 1), "is_political and in_knowledge_base must be bools", None),
+            ([(5, "person", ("ann",))], (False, False), "canonical_id must be a string, got 5", None),
             # Unhashable, the id raised a bare TypeError.
-            ([(["E1"], "person", ("ann",))], (False, False),
-             r"gazetteer entry \['E1'\]: canonical_id must be a string"),
+            ([(["E1"], "person", ("ann",))], (False, False), "canonical_id must be a string, got ['E1']", None),
         ],
         ids=["alias-in-one-entry", "alias-in-two-entries", "empty-id", "repeated-id", "empty-alias", "unknown-kind",
-             "aliases-as-one-string", "non-string-alias", "non-bool-political", "non-bool-knowledge-base",
-             "no-aliases", "non-string-id", "unhashable-id"],
+             "no-aliases", "aliases-as-one-string", "non-string-alias", "non-iterable-aliases", "non-bool-political",
+             "non-bool-knowledge-base", "non-string-id", "unhashable-id"],
     )
-    def test_directly_built_gazetteer_rejects(self, entries, flags, message):
-        with pytest.raises(ParseError, match=message):
+    def test_directly_built_gazetteer_rejects(self, tmp_path, entries, flags, message, line):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             Gazetteer([GazetteerEntry(canonical_id, kind, aliases, *flags)
                        for canonical_id, kind, aliases in entries])
+        if line is not None:
+            path = tmp_path / "gazetteer.jsonl"
+            path.write_text("".join(json.dumps({"canonical_id": canonical_id, "kind": kind, "aliases": list(aliases)})
+                                    + "\n" for canonical_id, kind, aliases in entries), encoding="utf-8")
+            repeat = " (first on line 1)" if message.startswith("duplicate") else ""
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{line}: {message}{repeat}')}$"):
+                load_gazetteer(path)
 
     def test_tagging_compiles_no_pattern(self, fixture_paths, monkeypatch):
         compiled = []
@@ -499,14 +508,6 @@ class TestEntities:
         assert counts  # the text mentions some entries
         assert gazetteer.mention_counts(text) == counts
         assert compiled == []
-
-    def test_duplicate_gazetteer_id_rejected(self, tmp_path):
-        path = tmp_path / "gaz.jsonl"
-        record = {"canonical_id": "X", "kind": "person", "aliases": ["x y"],
-                  "is_political": False, "in_knowledge_base": True}
-        path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="duplicate"):
-            load_gazetteer(path)
 
     @settings(max_examples=300, deadline=None)
     @given(

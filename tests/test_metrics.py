@@ -97,6 +97,13 @@ class TestCalibrationComplexity:
         with pytest.raises(ValueError, match="degenerate binning"):
             MetricConfig(complexity_bins=1)
 
+    # Accepted, 1.5 failed later inside fragmentation_partners with a bare
+    # TypeError, and True drew one partner.
+    @pytest.mark.parametrize("pairs", [1.5, 5.0, True])
+    def test_fragmentation_pairs_must_be_an_int(self, pairs):
+        with pytest.raises(TypeError, match=f"^fragmentation_pairs must be an int, got {pairs!r}$"):
+            MetricConfig(fragmentation_pairs=pairs)
+
     @pytest.mark.parametrize("alpha", [-0.1, 0.5, math.nan])
     def test_alpha_checked_by_the_config(self, alpha):
         with pytest.raises(ValueError, match="alpha must be in"):
