@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import check_unique, read_lines
+from .corpus import at_line, check_unique, read_lines
 from .distrib import SCHEMES
 from .divergence import KINDS
 from .enrich import DEFAULT_TAU, DEFAULT_WINDOW_SECONDS, check_chaining
@@ -66,19 +66,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     first_lines: dict[str, int] = {}
     for lineno, line in read_lines(path, comments=True):
-        match = _LINE.fullmatch(line)
-        if match is None:
-            raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = match.groups()
-        if key not in OPTION_KEYS and not (key.startswith("external.") and key != "external."):
-            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-        check_unique(first_lines, key, path, lineno, "key", InputError)
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
-        try:
+        with at_line(path, lineno):
+            match = _LINE.fullmatch(line)
+            if match is None:
+                raise InputError("expected 'key = value'")
+            key, value = match.groups()
+            if key not in OPTION_KEYS and not (key.startswith("external.") and key != "external."):
+                raise InputError(f"unknown key {key!r}")
+            check_unique(first_lines, key, lineno, "key", InputError)
+            if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+                value = value[1:-1]
             RunConfig.from_options({key: value})
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
         values[key] = value
     return values
 
@@ -138,7 +136,7 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check the names here and every other value with the library's own
-        checks, whose ValueError becomes an input error."""
+        checks, whose ValueError or TypeError becomes an input error."""
         for name, values, allowed in (
             ("divergence", [self.divergence, *self.divergences], KINDS),
             ("weighting", [self.weighting, *self.weightings], SCHEMES),
@@ -154,7 +152,7 @@ class RunConfig:
             build_grid(self.divergences, self.weightings, self.cutoffs)
             check_distinct("recommenders", self.recommenders)
             check_chaining(self.tau, self.window_seconds)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None
 
     @property

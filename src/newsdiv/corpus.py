@@ -13,9 +13,10 @@ File formats (all UTF-8, LF line endings):
 * recommendations: JSON lines ``{"impression_id", "user_id",
   "ranked_item_ids"}``.
 
-The loaders keep input order, so parsed lists line up with file rows.  An
-error about a line starts with ``path:lineno``.  Within one load, equal ids
-are one shared ``str`` object (see :func:`id_table`).
+The loaders keep input order, so parsed lists line up with file rows.  The
+records check themselves; an error about a line starts with ``path:lineno``,
+which only :class:`at_line` adds.  Within one load, equal ids are one shared
+``str`` object (see :func:`id_table`).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import InputError, ParseError, ValidationError
 
 _CANDIDATE_RE = re.compile(r"^(.+)-([01])$")
 
@@ -61,7 +62,7 @@ class Article:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise ValidationError("article id must be non-empty")
+            raise ValidationError("empty article id")
         if self.chain_id == "" or "" in self.political_actors:
             raise ValidationError("chain and actor ids must be non-empty")
         if self.complexity is not None and not 0.0 <= self.complexity <= COMPLEXITY_TOP:
@@ -74,6 +75,13 @@ class Article:
     def text(self) -> str:
         """Title and body joined; the text enrichment operates on."""
         return f"{self.title}\n{self.body}".strip()
+
+
+def _repeated(ids: Sequence[str]) -> str:
+    """The ids listed more than once, sorted and comma-separated; empty if none."""
+    if len(set(ids)) == len(ids):
+        return ""
+    return ", ".join(sorted(item for item, count in Counter(ids).items() if count > 1))
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,17 @@ class ImpressionLog:
     candidates: tuple[tuple[str, bool], ...]
     history: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not self.impression_id:
+            raise ValidationError("empty impression id")
+        if "|" in self.impression_id:
+            raise ValidationError(f"impression id {self.impression_id!r} contains '|', "
+                                  "which separates the ids of a fragmentation pair")
+        if not self.candidates:
+            raise ParseError(f"impression {self.impression_id!r} has no candidates")
+        if repeated := _repeated(self.candidate_ids):
+            raise ValidationError(f"duplicate candidates in the pool of impression {self.impression_id!r}: {repeated}")
+
     @property
     def candidate_ids(self) -> tuple[str, ...]:
         return tuple(article_id for article_id, _ in self.candidates)
@@ -101,11 +120,15 @@ class ImpressionLog:
 
 @dataclass(frozen=True)
 class RecommendationList:
-    """Ranked article ids issued for one impression (rank 1 first)."""
+    """Ranked article ids issued for one impression (rank 1 first), none twice."""
 
     impression_id: str
     user_id: str
     ranked_items: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if repeated := _repeated(self.ranked_items):
+            raise ValidationError(f"duplicate items in ranking for impression {self.impression_id!r}: {repeated}")
 
 
 class Corpus:
@@ -164,6 +187,21 @@ def parse_time(value: str) -> float:
         raise ParseError(f"timestamp {value!r} is outside years 1-9999 in UTC") from None
 
 
+class at_line(NamedTuple):
+    """``with at_line(path, lineno):`` prefixes ``path:lineno: `` to an
+    InputError raised inside; the one place that names a line in an error."""
+
+    path: Path
+    lineno: int
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, InputError):
+            raise type(exc)(f"{self.path}:{self.lineno}: {exc}") from None
+
+
 def read_lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
     """Line number and text of each non-blank line of a UTF-8 file, without
     its line ending.  With ``comments``, lines are also trimmed and those that
@@ -173,7 +211,8 @@ def read_lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
             try:
                 line = raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
+                with at_line(path, lineno):
+                    raise ParseError(f"not UTF-8 ({exc})") from None
             if comments:
                 line = line.strip()
             if line.strip() and not (comments and line.startswith("#")):
@@ -186,7 +225,8 @@ def read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     for lineno, line in read_lines(path):
         columns = line.split("\t")
         if len(columns) < 5:
-            raise ParseError(f"{path}:{lineno}: expected at least 5 tab-separated columns, got {len(columns)}")
+            with at_line(path, lineno):
+                raise ParseError(f"expected at least 5 tab-separated columns, got {len(columns)}")
         yield lineno, columns[:5]
 
 
@@ -206,15 +246,10 @@ _KINDS = {str: "a string", list: "a list of strings", int: "an integer", bool: "
 
 
 class Record(NamedTuple):
-    """One JSON-lines object and the line it came from."""
+    """One JSON-lines object and its line number; :class:`at_line` names the line in errors."""
 
-    path: Path
     lineno: int
     fields: dict
-
-    @property
-    def where(self) -> str:
-        return f"{self.path}:{self.lineno}"
 
     def get(self, name: str, kind: type, default: object = _REQUIRED):
         """Field ``name`` as ``kind``: str, bool, int, list (of str) or float
@@ -225,7 +260,7 @@ class Record(NamedTuple):
             if default is not _REQUIRED:
                 return default
             if name not in self.fields:
-                raise ParseError(f"{self.where}: missing field {name!r}")
+                raise ParseError(f"missing field {name!r}")
         elif kind is float:
             # Comparisons reject NaN, infinities and ints too large for a float.
             if type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
@@ -235,7 +270,7 @@ class Record(NamedTuple):
                 return value
         elif type(value) is kind:
             return value
-        raise ParseError(f"{self.where}: {name!r} must be {_KINDS[kind]}, got {value!r:.60}")
+        raise ParseError(f"{name!r} must be {_KINDS[kind]}, got {value!r:.60}")
 
 
 def read_records(path: Path) -> Iterator[Record]:
@@ -244,28 +279,21 @@ def read_records(path: Path) -> Iterator[Record]:
         try:
             fields = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            with at_line(path, lineno):
+                raise ParseError(f"invalid JSON ({exc})") from None
         if type(fields) is not dict:
-            raise ParseError(f"{path}:{lineno}: expected a JSON object, got {line:.60}")
-        yield Record(path, lineno, fields)
+            with at_line(path, lineno):
+                raise ParseError(f"expected a JSON object, got {line:.60}")
+        yield Record(lineno, fields)
 
 
-def check_unique(
-    first_lines: dict[str, int], key: str, path: Path, lineno: int, what: str, error=ValidationError
-) -> None:
+def check_unique(first_lines: dict[str, int], key: str, lineno: int, what: str, error=ValidationError) -> None:
     """Note the line on which ``key`` first occurs; a repeat, also one on the
     same line, is an ``error``."""
     first = first_lines.get(key)
     if first is not None:
-        raise error(f"{path}:{lineno}: duplicate {what} {key!r} (first on line {first})")
+        raise error(f"duplicate {what} {key!r} (first on line {first})")
     first_lines[key] = lineno
-
-
-def _timestamp(text: str, path: Path, lineno: int) -> float:
-    try:
-        return parse_time(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from None
 
 
 def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -> Corpus:
@@ -279,18 +307,9 @@ def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -
     corpus = Corpus()
     first_lines: dict[str, int] = {}
     for lineno, (article_id, category, subcategory, title, abstract) in read_rows(news_path):
-        if not article_id:
-            raise ParseError(f"{news_path}:{lineno}: empty article id")
-        check_unique(first_lines, article_id, news_path, lineno, "article id", ParseError)
-        corpus.add(
-            Article(
-                id=article_id,
-                title=title,
-                body=abstract,
-                category=category,
-                subcategory=subcategory,
-            )
-        )
+        with at_line(news_path, lineno):
+            check_unique(first_lines, article_id, lineno, "article id", ParseError)
+            corpus.add(Article(id=article_id, title=title, body=abstract, category=category, subcategory=subcategory))
     if bodies_path is not None:
         _load_bodies(Path(bodies_path), corpus)
     return corpus
@@ -299,18 +318,16 @@ def load_catalog(news_path: str | Path, bodies_path: str | Path | None = None) -
 def _load_bodies(path: Path, corpus: Corpus) -> None:
     first_lines: dict[str, int] = {}
     for record in read_records(path):
-        article_id = record.get("id", str)
-        if not article_id:
-            raise ParseError(f"{record.where}: empty 'id'")
-        published = record.fields.get("published_at")
-        if type(published) is str:
-            published = _timestamp(published, path, record.lineno)
-        else:
-            published = record.get("published_at", float, None)
-        body = record.get("body", str, None)
-        check_unique(first_lines, article_id, path, record.lineno, "article id", ParseError)
+        with at_line(path, record.lineno):
+            article_id = record.get("id", str)
+            if not article_id:
+                raise ParseError("empty 'id'")
+            published = record.fields.get("published_at")
+            published = parse_time(published) if type(published) is str else record.get("published_at", float, None)
+            body = record.get("body", str, None)
+            check_unique(first_lines, article_id, record.lineno, "article id", ParseError)
         if article_id not in corpus:
-            corpus.warn(f"{record.where}: body for unknown article {article_id!r} skipped")
+            corpus.warn(f"{path}:{record.lineno}: body for unknown article {article_id!r} skipped")
             continue
         article = corpus[article_id]
         corpus.update(
@@ -327,9 +344,8 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
 
     The source logs history oldest first; it is reversed here so that
     position 1 is the most recently read article, the orientation the
-    recency discount expects.  An impression id must be non-empty, free of
-    ``|`` (the separator of fragmentation pair ids) and unique; a pool must
-    not list an article twice.
+    recency discount expects.  :class:`ImpressionLog` checks each line; an
+    impression id must also be unique.
     """
     path = Path(path)
     impressions = []
@@ -338,44 +354,23 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
     # Each distinct well-formed candidate token, parsed once.
     parsed: dict[str, tuple[str, bool]] = {}
     for lineno, (impression_id, user_id, time_text, history_text, candidates_text) in read_rows(path):
-        if not impression_id:
-            raise ValidationError(f"{path}:{lineno}: empty impression id")
-        if "|" in impression_id:
-            raise ValidationError(
-                f"{path}:{lineno}: impression id {impression_id!r} contains '|', "
-                "which separates the ids of a fragmentation pair"
+        with at_line(path, lineno):
+            check_unique(first_lines, impression_id, lineno, "impression id")
+            candidates = []
+            for token in candidates_text.split():
+                candidate = parsed.get(token)
+                if candidate is None:
+                    match = _CANDIDATE_RE.match(token)
+                    if match is None:
+                        raise ParseError(
+                            f"impression {impression_id!r}: candidate token {token!r} lacks a -0/-1 click suffix"
+                        )
+                    candidate = parsed[token] = (shared(match.group(1)), match.group(2) == "1")
+                candidates.append(candidate)
+            history = tuple(map(shared, reversed(history_text.split())))
+            impressions.append(
+                ImpressionLog(impression_id, shared(user_id), parse_time(time_text), tuple(candidates), history)
             )
-        check_unique(first_lines, impression_id, path, lineno, "impression id")
-        candidates = []
-        for token in candidates_text.split():
-            candidate = parsed.get(token)
-            if candidate is None:
-                match = _CANDIDATE_RE.match(token)
-                if match is None:
-                    raise ParseError(
-                        f"{path}:{lineno}: impression {impression_id!r}: "
-                        f"candidate token {token!r} lacks a -0/-1 click suffix"
-                    )
-                candidate = parsed[token] = (shared(match.group(1)), match.group(2) == "1")
-            candidates.append(candidate)
-        if not candidates:
-            raise ParseError(f"{path}:{lineno}: impression {impression_id!r} has no candidates")
-        if len({article_id for article_id, _ in candidates}) < len(candidates):
-            counts = Counter(article_id for article_id, _ in candidates)
-            repeated = sorted(article_id for article_id, count in counts.items() if count > 1)
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate candidates in the pool of impression "
-                f"{impression_id!r}: {', '.join(repeated)}"
-            )
-        impressions.append(
-            ImpressionLog(
-                impression_id=impression_id,
-                user_id=shared(user_id),
-                time=_timestamp(time_text, path, lineno),
-                candidates=tuple(candidates),
-                history=tuple(map(shared, reversed(history_text.split()))),
-            )
-        )
     return impressions
 
 
@@ -387,9 +382,9 @@ def load_recommendations(
     against the impressions it will be joined with.
 
     Validation rejects a ranking that is not a list of ids, an impression
-    listed twice, duplicate items within a ranking, and (given the
-    impressions) unknown impression ids, a user id other than the
-    impression's and items outside the impression's candidate pool.
+    listed twice and (given the impressions) unknown impression ids, a user
+    id other than the impression's and items outside the impression's
+    candidate pool; :class:`RecommendationList` rejects a repeated item.
     """
     path = Path(path)
     by_impression = (
@@ -401,38 +396,32 @@ def load_recommendations(
     first_lines: dict[str, int] = {}
     shared = id_table()
     for record in read_records(path):
-        impression_id = record.get("impression_id", str)
-        user_id = record.get("user_id", str)
-        ranked = record.get("ranked_item_ids", list)
-        check_unique(first_lines, impression_id, path, record.lineno, "impression id")
-        duplicates = sorted(item for item, count in Counter(ranked).items() if count > 1)
-        if duplicates:
-            raise ValidationError(
-                f"{record.where}: duplicate items in ranking for impression "
-                f"{impression_id!r}: {', '.join(duplicates)}"
-            )
-        if by_impression is not None:
-            impression = by_impression.get(impression_id)
-            if impression is None:
-                raise ValidationError(f"{record.where}: unknown impression id {impression_id!r}")
-            if user_id != impression.user_id:
-                raise ValidationError(
-                    f"{record.where}: user id {user_id!r} does not match impression "
-                    f"{impression_id!r}, which belongs to {impression.user_id!r}"
-                )
-            pool = {article_id: article_id for article_id in impression.candidate_ids}
-            outside = sorted(item for item in ranked if item not in pool)
-            if outside:
-                raise ValidationError(
-                    f"{record.where}: items outside the candidate pool of impression "
-                    f"{impression_id!r}: {', '.join(outside)}"
-                )
-            impression_id, user_id = impression.impression_id, impression.user_id
-            ranked = [pool[item] for item in ranked]
-        else:
-            user_id = shared(user_id)
-            ranked = [shared(item) for item in ranked]
-        recommendations.append(RecommendationList(impression_id, user_id, tuple(ranked)))
+        with at_line(path, record.lineno):
+            impression_id = record.get("impression_id", str)
+            user_id = record.get("user_id", str)
+            ranked = record.get("ranked_item_ids", list)
+            check_unique(first_lines, impression_id, record.lineno, "impression id")
+            if by_impression is not None:
+                impression = by_impression.get(impression_id)
+                if impression is None:
+                    raise ValidationError(f"unknown impression id {impression_id!r}")
+                if user_id != impression.user_id:
+                    raise ValidationError(
+                        f"user id {user_id!r} does not match impression "
+                        f"{impression_id!r}, which belongs to {impression.user_id!r}"
+                    )
+                pool = {article_id: article_id for article_id in impression.candidate_ids}
+                outside = sorted({item for item in ranked if item not in pool})
+                if outside:
+                    raise ValidationError(
+                        f"items outside the candidate pool of impression {impression_id!r}: {', '.join(outside)}"
+                    )
+                impression_id, user_id = impression.impression_id, impression.user_id
+                ranked = [pool[item] for item in ranked]
+            else:
+                user_id = shared(user_id)
+                ranked = [shared(item) for item in ranked]
+            recommendations.append(RecommendationList(impression_id, user_id, tuple(ranked)))
     return recommendations
 
 

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import (COMPLEXITY_TOP, Article, Corpus, ImpressionLog, check_unique, id_table, read_lines,
+from .corpus import (COMPLEXITY_TOP, Article, Corpus, ImpressionLog, at_line, check_unique, id_table, read_lines,
                      read_records, write_records)
 from .errors import ParseError, ValidationError
 
@@ -73,22 +73,21 @@ def load_lexicon(path: str | Path) -> dict[str, float]:
     lexicon: dict[str, float] = {}
     first_lines: dict[str, int] = {}
     for lineno, line in read_lines(path, comments=True):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'token<TAB>polarity'")
-        token, polarity_text = parts
-        try:
-            polarity = float(polarity_text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: invalid polarity {polarity_text!r}") from None
-        if not -1.0 <= polarity <= 1.0:
-            raise ParseError(f"{path}:{lineno}: polarity {polarity} outside [-1, 1]")
-        if not _TOKEN_RE.fullmatch(token.lower()):
-            raise ParseError(
-                f"{path}:{lineno}: token {token!r} is not one run of [a-z0-9] and can never match"
-            )
-        token = token.lower()
-        check_unique(first_lines, token, path, lineno, "token", ParseError)
+        with at_line(path, lineno):
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError("expected 'token<TAB>polarity'")
+            token, polarity_text = parts
+            try:
+                polarity = float(polarity_text)
+            except ValueError:
+                raise ParseError(f"invalid polarity {polarity_text!r}") from None
+            if not -1.0 <= polarity <= 1.0:
+                raise ParseError(f"polarity {polarity} outside [-1, 1]")
+            if not _TOKEN_RE.fullmatch(token.lower()):
+                raise ParseError(f"token {token!r} is not one run of [a-z0-9] and can never match")
+            token = token.lower()
+            check_unique(first_lines, token, lineno, "token", ParseError)
         lexicon[token] = polarity
     return lexicon
 
@@ -203,15 +202,14 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     first_lines: dict[str, int] = {}
     alias_lines: dict[str, int] = {}
     for record in read_records(path):
-        fields = (record.get("canonical_id", str), record.get("kind", str, None), tuple(record.get("aliases", list, [])))
-        flags = (record.get("is_political", bool, False), record.get("in_knowledge_base", bool, False))
-        try:
-            entry = GazetteerEntry(*fields, *flags)
-        except ParseError as exc:
-            raise ParseError(f"{record.where}: {exc}") from None
-        check_unique(first_lines, entry.canonical_id, path, record.lineno, "gazetteer id", ParseError)
-        for alias in entry.aliases:
-            check_unique(alias_lines, alias.lower(), path, record.lineno, "alias", ParseError)
+        with at_line(path, record.lineno):
+            fields = (record.get("canonical_id", str), record.get("kind", str, None))
+            aliases = tuple(record.get("aliases", list, []))
+            flags = (record.get("is_political", bool, False), record.get("in_knowledge_base", bool, False))
+            entry = GazetteerEntry(*fields, aliases, *flags)
+            check_unique(first_lines, entry.canonical_id, record.lineno, "gazetteer id", ParseError)
+            for alias in entry.aliases:
+                check_unique(alias_lines, alias.lower(), record.lineno, "alias", ParseError)
         entries.append(entry)
     return Gazetteer(entries)
 
@@ -450,19 +448,20 @@ def load_sidecar(path: str | Path, corpus: Corpus) -> Corpus:
     """
     path = Path(path)
     for record in read_records(path):
-        article_id = record.get("id", str)
-        overrides = {}
-        for name, kind in _SIDECAR_FIELDS.items():
-            value = record.get(name, kind, None)
-            if value is not None:
-                overrides[name] = frozenset(value) if kind is list else value
+        with at_line(path, record.lineno):
+            article_id = record.get("id", str)
+            overrides = {}
+            for name, kind in _SIDECAR_FIELDS.items():
+                value = record.get(name, kind, None)
+                if value is not None:
+                    overrides[name] = frozenset(value) if kind is list else value
         if article_id not in corpus:
-            corpus.warn(f"{record.where}: sidecar record for unknown article {article_id!r} skipped")
+            corpus.warn(f"{path}:{record.lineno}: sidecar record for unknown article {article_id!r} skipped")
             continue
         try:
             updated = replace(corpus[article_id], **overrides)
         except ValidationError as exc:
-            corpus.warn(f"{record.where}: record for {article_id!r} rejected ({exc})")
+            corpus.warn(f"{path}:{record.lineno}: record for {article_id!r} rejected ({exc})")
             continue
         corpus.update(updated)
     return corpus

@@ -46,8 +46,11 @@ class GridPoint:
     weighting: str
     cutoff: int  # 0 encodes "no cutoff" (@N)
 
+    def __post_init__(self) -> None:
+        self.rank_weighting()  # which checks the scheme and any cutoff but the int 0
+
     def rank_weighting(self) -> RankWeighting:
-        return RankWeighting(self.weighting, self.cutoff if self.cutoff > 0 else None)
+        return RankWeighting(self.weighting, None if self.cutoff == 0 and type(self.cutoff) is int else self.cutoff)
 
 
 # The key columns of every output file, in key order; all of them but the

@@ -64,17 +64,27 @@ class MetricConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("activation_bins", "complexity_bins", "fragmentation_pairs"):
-            if type(getattr(self, name)) is not int:
-                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for bin_count in (self.activation_bins, self.complexity_bins):
-            if bin_count < 2:
-                raise ValueError(f"degenerate binning: bin_count must be >= 2, got {bin_count}")
+        _check_bin_count(self.activation_bins, "activation_bins")
+        _check_bin_count(self.complexity_bins, "complexity_bins")
         if self.divergence not in KINDS:
             raise ValueError(f"unknown divergence {self.divergence!r}")
         _check_alpha(self.alpha)
-        if self.fragmentation_pairs < 1:
-            raise ValueError("fragmentation_pairs must be >= 1")
+        _check_pair_count(self.fragmentation_pairs, "fragmentation_pairs")
+
+
+# One check per count, made by MetricConfig and by each function given one.
+def _check_bin_count(bin_count: int, name: str = "bin_count") -> None:
+    if type(bin_count) is not int:
+        raise TypeError(f"{name} must be an int, got {bin_count!r}")
+    if bin_count < 2:
+        raise ValueError(f"degenerate binning: bin_count must be >= 2, got {bin_count}")
+
+
+def _check_pair_count(pairs: int, name: str = "pairs") -> None:
+    if type(pairs) is not int:
+        raise TypeError(f"{name} must be an int, got {pairs!r}")
+    if pairs < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def subcategory_keys(article: Article) -> Mapping[str, float]:
@@ -102,6 +112,7 @@ def voice_keys(article: Article) -> Mapping[str, float]:
 def binned_keys(field: str, top: float, bin_count: int) -> KeyFn:
     """Equal-width bins of [0, top]: a value x of ``field`` maps to key
     "bin_<floor(x / top * bin_count)>", and ``top`` itself to the last bin."""
+    _check_bin_count(bin_count)
 
     def key_fn(article: Article) -> Mapping[str, float]:
         value = getattr(article, field)
@@ -248,8 +259,7 @@ def fragmentation_partners(ids: Sequence[str], pairs: int, seed: int) -> list[tu
 
     Deterministic for a fixed seed regardless of caller ordering.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
+    _check_pair_count(pairs)
     ordered = sorted(ids)
     if len(ordered) != len(set(ordered)):
         raise ValueError("ids must be unique")

@@ -16,6 +16,7 @@ from newsdiv.cli import build_parser, main
 from newsdiv.config import OPTION_KEYS, RunConfig, load_config_file
 from newsdiv.corpus import load_behaviors, load_recommendations
 from newsdiv.enrich import DEFAULT_TAU, DEFAULT_WINDOW_SECONDS
+from newsdiv.errors import InputError
 from newsdiv.metrics import METRIC_NAMES, MetricConfig
 from newsdiv.report import read_samples_csv
 from views import named_samples
@@ -796,6 +797,19 @@ class TestOptionsCheckedByTheLibrary:
         assert main(["evaluate", *base_args(fixture_paths, out_dir), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    # Values that only library callers can give: the CLI and config files
+    # parse counts with int().
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"cutoffs": [2.0]}, "cutoff must be an int or None, got 2.0"),
+            ({"pairs": 1.5}, "fragmentation_pairs must be an int, got 1.5"),
+        ],
+    )
+    def test_validate_names_a_count_that_is_no_int(self, fields, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            RunConfig(**fields).validate()
 
     @pytest.mark.parametrize(
         "command,flags",

@@ -8,6 +8,8 @@ import pytest
 from newsdiv.corpus import (
     Article,
     Corpus,
+    ImpressionLog,
+    RecommendationList,
     dump_recommendations,
     load_behaviors,
     load_catalog,
@@ -143,6 +145,47 @@ def test_malformed_impression_named_with_its_line(tmp_path, line, message):
     path.write_text(FIRST_IMPRESSION + line + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=re.escape(f"{path}:2: {message}") + "$"):
         load_behaviors(path)
+
+
+IMPRESSION = {
+    "impression_id": "I1", "user_id": "U1", "time": 1573552800.0, "candidates": (("N1", True),), "history": (),
+}
+RANKING = {"impression_id": "I1", "user_id": "U1", "ranked_items": ("N1",)}
+# Each rule that an impression or a list checks itself: (record, fields it is
+# built with in code, its line in a file, error, message).
+RECORD_RULES = [
+    (ImpressionLog, {"impression_id": ""}, "\tU1\t2019-11-12T10:00:00Z\t\tN1-1", ValidationError,
+     "empty impression id"),
+    (ImpressionLog, {"impression_id": "I1|I2"}, "I1|I2\tU1\t2019-11-12T10:00:00Z\t\tN1-1", ValidationError,
+     "impression id 'I1|I2' contains '|', which separates the ids of a fragmentation pair"),
+    (ImpressionLog, {"candidates": ()}, "I1\tU1\t2019-11-12T10:00:00Z\t\t", ParseError,
+     "impression 'I1' has no candidates"),
+    (ImpressionLog, {"candidates": (("N3", False), ("N1", True), ("N3", True), ("N1", False))},
+     "I1\tU1\t2019-11-12T10:00:00Z\t\tN3-0 N1-1 N3-1 N1-0", ValidationError,
+     "duplicate candidates in the pool of impression 'I1': N1, N3"),
+    (RecommendationList, {"ranked_items": ("N3", "N1", "N3", "N1")},
+     '{"impression_id": "I1", "user_id": "U1", "ranked_item_ids": ["N3", "N1", "N3", "N1"]}', ValidationError,
+     "duplicate items in ranking for impression 'I1': N1, N3"),
+]
+
+
+@pytest.mark.parametrize(
+    "record,fields,line,error,message", RECORD_RULES,
+    ids=["empty-id", "pipe-in-id", "no-candidates", "repeated-candidates", "repeated-items"],
+)
+def test_record_rule_holds_in_code_and_in_its_file(tmp_path, record, fields, line, error, message):
+    """Built in code, the record gives the bare message; its loader adds
+    only ``path:lineno: ``."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        record(**{**(IMPRESSION if record is ImpressionLog else RANKING), **fields})
+    if record is ImpressionLog:
+        path, first, load = tmp_path / "behaviors.tsv", FIRST_IMPRESSION, load_behaviors
+    else:
+        path, load = tmp_path / "recs.jsonl", load_recommendations
+        first = '{"impression_id": "I0", "user_id": "U0", "ranked_item_ids": ["N1"]}\n'
+    path.write_text(first + line + "\n", encoding="utf-8")
+    with pytest.raises(error, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load(path)
 
 
 @pytest.mark.parametrize("load", [load_catalog, load_behaviors])

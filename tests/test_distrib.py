@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +184,21 @@ class TestBinning:
     def test_bin_count_must_be_an_int(self, name, count):
         with pytest.raises(TypeError, match=f"^{name} must be an int, got {count!r}$"):
             MetricConfig(**{name: count})
+
+    # A direct caller gets the config's checks: 2.5 bins would map 100.0 to
+    # 'bin_1.5', and one bin would put every value into 'bin_0'.
+    @pytest.mark.parametrize(
+        "count,error,message",
+        [
+            (2.5, TypeError, "bin_count must be an int, got 2.5"),
+            (True, TypeError, "bin_count must be an int, got True"),
+            (1, ValueError, "degenerate binning: bin_count must be >= 2, got 1"),
+            (0, ValueError, "degenerate binning: bin_count must be >= 2, got 0"),
+        ],
+    )
+    def test_binned_keys_checks_its_count_as_the_config_does(self, count, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            binned_keys("complexity", COMPLEXITY_TOP, count)
 
 
 class TestSmoothing:

@@ -107,6 +107,21 @@ class TestGrid:
         assert GridPoint("js", "mrr", 0).rank_weighting().cutoff is None
         assert GridPoint("js", "mrr", 10).rank_weighting().cutoff == 10
 
+    # Only the int 0 means no cutoff; 0.0 and False are no ints.
+    @pytest.mark.parametrize("cutoff", [2.0, True, 0.0, False])
+    def test_cutoff_must_be_an_int(self, cutoff):
+        with pytest.raises(TypeError, match=f"^cutoff must be an int or None, got {cutoff!r}$"):
+            build_grid(["js"], ["mrr"], [cutoff])
+
+    # A point built in code is checked when built, not when first scored.
+    @pytest.mark.parametrize(
+        "weighting,cutoff,message",
+        [("bogus", 0, "unknown weighting scheme 'bogus'"), ("mrr", -3, "cutoff must be >= 1 when set, got -3")],
+    )
+    def test_point_checks_itself_when_built(self, weighting, cutoff, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridPoint("js", weighting, cutoff)
+
 
 class TestDailyPools:
     def test_groups_by_utc_day(self, world):

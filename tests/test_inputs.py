@@ -11,6 +11,7 @@ from newsdiv.cli import main
 from newsdiv.config import OPTION_KEYS, load_config_file
 from newsdiv.corpus import (
     Record,
+    at_line,
     load_behaviors,
     load_catalog,
     load_recommendations,
@@ -18,7 +19,7 @@ from newsdiv.corpus import (
     read_records,
 )
 from newsdiv.enrich import load_gazetteer, load_lexicon, load_sidecar
-from newsdiv.errors import InputError, ParseError
+from newsdiv.errors import InputError, ParseError, ValidationError
 
 GAZETTEER_ENTRY = {"canonical_id": "X", "kind": "person", "aliases": ["ann"]}
 
@@ -77,7 +78,7 @@ def test_out_of_range_sidecar_value_stays_a_warning(fixture_paths, tmp_path, cap
 
 class TestRecordGet:
     def record(self, **fields):
-        return Record("f.jsonl", 3, fields)
+        return Record(3, fields)
 
     def test_int_is_read_as_a_float_where_a_number_is_expected(self):
         value = self.record(score=50).get("score", float)
@@ -85,12 +86,12 @@ class TestRecordGet:
 
     @pytest.mark.parametrize("value", [True, "1", math.inf, -math.inf, math.nan, 10**400])
     def test_non_numbers_and_non_finite_numbers_are_rejected(self, value):
-        with pytest.raises(ParseError, match="^f.jsonl:3: 'score' must be a finite number, got "):
+        with pytest.raises(ParseError, match="^'score' must be a finite number, got "):
             self.record(score=value).get("score", float)
 
     @pytest.mark.parametrize("kind,value", [(int, True), (int, 2.0), (bool, 1), (str, 5), (list, ["a", 1])])
     def test_wrong_type_is_rejected(self, kind, value):
-        with pytest.raises(ParseError, match="^f.jsonl:3: 'field' must be "):
+        with pytest.raises(ParseError, match="^'field' must be "):
             self.record(field=value).get("field", kind)
 
     def test_missing_or_null_optional_field_gives_the_default(self):
@@ -98,12 +99,30 @@ class TestRecordGet:
         assert self.record(field=None).get("field", int, 7) == 7
 
     def test_missing_required_field_is_named(self):
-        with pytest.raises(ParseError, match="^f.jsonl:3: missing field 'field'$"):
+        with pytest.raises(ParseError, match="^missing field 'field'$"):
             self.record().get("field", str)
 
     def test_null_required_field_is_a_type_error(self):
-        with pytest.raises(ParseError, match="^f.jsonl:3: 'field' must be a string, got None$"):
+        with pytest.raises(ParseError, match="^'field' must be a string, got None$"):
             self.record(field=None).get("field", str)
+
+
+class TestAtLine:
+    @pytest.mark.parametrize("error", [InputError, ParseError, ValidationError])
+    def test_an_input_error_gains_the_prefix_and_keeps_its_type(self, error):
+        with pytest.raises(error, match="^f.jsonl:3: bad value$"):
+            with at_line("f.jsonl", 3):
+                raise error("bad value")
+
+    def test_another_error_passes_unchanged(self):
+        with pytest.raises(KeyError, match="^'x'$"):
+            with at_line("f.jsonl", 3):
+                raise KeyError("x")
+
+    def test_a_record_read_inside_names_its_line(self):
+        with pytest.raises(ParseError, match="^f.jsonl:3: missing field 'field'$"):
+            with at_line("f.jsonl", 3):
+                Record(3, {}).get("field", str)
 
 
 class TestReaders:
@@ -209,4 +228,9 @@ def test_every_loader_returns_or_names_the_line(fixture_paths, fuzz_dir, line, c
         try:
             load()
         except InputError as exc:
-            assert str(exc).startswith(tuple(f"{path}:{lineno}: " for lineno in range(1, copies + 1))), str(exc)
+            message = str(exc)
+            prefixes = [f"{path}:{lineno}: " for lineno in range(1, copies + 1)]
+            # The line is named once: no second prefix follows the first.
+            assert any(
+                message.startswith(prefix) and not message[len(prefix):].startswith(f"{path}:") for prefix in prefixes
+            ), message

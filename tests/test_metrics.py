@@ -310,6 +310,12 @@ class TestFragmentationSampling:
         with pytest.raises(ValueError, match=f"^{message}$"):
             fragmentation_partners(ids, pairs=pairs, seed=3)
 
+    # True would draw one partner each, and 1.5 would fail inside random.sample.
+    @pytest.mark.parametrize("pairs", [True, 1.5])
+    def test_partner_draw_checks_its_count_as_the_config_does(self, pairs):
+        with pytest.raises(TypeError, match=f"^pairs must be an int, got {pairs!r}$"):
+            fragmentation_partners(["I0", "I1", "I2"], pairs=pairs, seed=3)
+
     @pytest.mark.parametrize("n, pairs", [(2, 5), (3, 1), (7, 5), (500, 600), (3600, 5), (6000, 2)])
     def test_partner_draw_matches_list_copy_reference(self, n, pairs):
         ids = [f"I{number}" for number in range(n)]
