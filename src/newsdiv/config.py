@@ -15,11 +15,10 @@ from pathlib import Path
 from typing import Mapping
 
 from .corpus import at_line, check_unique, read_lines
-from .distrib import SCHEMES
 from .divergence import KINDS
 from .enrich import DEFAULT_TAU, DEFAULT_WINDOW_SECONDS, check_chaining
 from .errors import InputError
-from .evaluate import POOLS, build_grid, check_distinct
+from .evaluate import POOLS, build_grid, check_distinct, check_pool
 from .metrics import MetricConfig
 from .recommenders import BASELINES
 
@@ -135,18 +134,14 @@ class RunConfig:
         return config
 
     def validate(self) -> None:
-        """Check the names here and every other value with the library's own
-        checks, whose ValueError or TypeError becomes an input error."""
-        for name, values, allowed in (
-            ("divergence", [self.divergence, *self.divergences], KINDS),
-            ("weighting", [self.weighting, *self.weightings], SCHEMES),
-            ("recommender", self.recommenders, BASELINES),
-            ("pool", [self.pool], POOLS),
-        ):
-            for value in values:
-                if value not in allowed:
-                    raise InputError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+        """Check the recommender names here, as no library object owns them,
+        and every other value with the library's own checks, whose ValueError
+        or TypeError becomes an input error."""
+        for name in self.recommenders:
+            if name not in BASELINES:
+                raise InputError(f"recommender must be one of {', '.join(BASELINES)}, got {name!r}")
         try:
+            check_pool(self.pool)
             self.metric_config()
             build_grid([self.divergence], [self.weighting], self.cutoffs)
             build_grid(self.divergences, self.weightings, self.cutoffs)

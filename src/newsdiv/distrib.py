@@ -66,8 +66,8 @@ class RankWeighting:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError(f"alpha must be in [0, 0.5), got {alpha}")
+    if not ((isinstance(alpha, float) or type(alpha) is int) and 0.0 <= alpha < 0.5):
+        raise ValueError(f"alpha must be in [0, 0.5), got {alpha!r}")
 
 
 class DiscreteDistribution:

@@ -191,7 +191,7 @@ def f_divergence(p: DiscreteDistribution, q: DiscreteDistribution, kind: str) ->
     infinite for kl (raises), p(x) / 2 for js.
     """
     if kind not in KINDS:
-        raise ValueError(f"unknown divergence kind {kind!r}")
+        raise ValueError(f"divergence must be one of {', '.join(KINDS)}, got {kind!r}")
     _check_domains(p, q)
     terms = []
     for key in sorted(p.masses):

@@ -272,9 +272,9 @@ class _Chain:
 
 
 def check_chaining(tau: float, window_seconds: float) -> None:
-    """Reject a cosine threshold outside (0, 1] and a negative or NaN window."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    """Reject a tau that is no float or int (nor a bool) or is outside (0, 1], and a negative or NaN window."""
+    if not ((isinstance(tau, float) or type(tau) is int) and 0.0 < tau <= 1.0):
+        raise ValueError(f"tau must be in (0, 1], got {tau!r}")
     if not window_seconds >= 0.0:
         raise ValueError(f"chaining window must be >= 0 seconds, got {window_seconds}")
 

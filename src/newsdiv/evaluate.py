@@ -36,6 +36,12 @@ from .metrics import (
 
 POOLS = ("impression", "daily")
 
+
+def check_pool(pool: str) -> None:
+    if pool not in POOLS:
+        raise ValueError(f"unknown pool {pool!r}")
+
+
 # A distribution built for scoring, or the reason that it could not be built.
 _Built = DiscreteDistribution | str
 
@@ -47,10 +53,14 @@ class GridPoint:
     cutoff: int  # 0 encodes "no cutoff" (@N)
 
     def __post_init__(self) -> None:
-        self.rank_weighting()  # which checks the scheme and any cutoff but the int 0
+        self.metric_config()  # which checks the divergence, the scheme and any cutoff but the int 0
 
     def rank_weighting(self) -> RankWeighting:
         return RankWeighting(self.weighting, None if self.cutoff == 0 and type(self.cutoff) is int else self.cutoff)
+
+    def metric_config(self, base: MetricConfig = MetricConfig()) -> MetricConfig:
+        """``base`` with this point's divergence and rank weighting."""
+        return replace(base, divergence=self.divergence, weighting=self.rank_weighting())
 
 
 # The key columns of every output file, in key order; all of them but the
@@ -101,7 +111,8 @@ def build_grid(
         if not values:
             raise ValueError(f"{name} must be a non-empty list")
         check_distinct(name, values)
-    if min(cutoffs) < 0:
+    # A cutoff that is no int is left to its point, whose message names it.
+    if any(type(cutoff) is int and cutoff < 0 for cutoff in cutoffs):
         raise ValueError("cutoffs must be a non-empty list of values >= 0 (0 means no cutoff)")
     return [
         GridPoint(divergence, weighting, cutoff)
@@ -357,8 +368,7 @@ def evaluate_recommendations(
     the same.  It forks only while this process runs no other thread, and
     runs inline otherwise.
     """
-    if pool not in POOLS:
-        raise ValueError(f"unknown pool {pool!r}")
+    check_pool(pool)
     if not grid:
         raise ValueError("grid must be a non-empty list of points")
     if len(set(grid)) < len(grid):
@@ -369,13 +379,7 @@ def evaluate_recommendations(
             raise ValidationError(f"duplicate impression id {impression.impression_id!r}")
         by_impression[impression.impression_id] = impression
     day_pools = daily_pools(impressions) if pool == "daily" else {}
-    grid_configs = [
-        (
-            point,
-            replace(metric_config, divergence=point.divergence, weighting=point.rank_weighting()),
-        )
-        for point in grid
-    ]
+    grid_configs = [(point, point.metric_config(metric_config)) for point in grid]
 
     # Scoring goes impression by impression, so that the contexts of an
     # impression are built once for all of its lists and then dropped.

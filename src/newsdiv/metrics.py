@@ -67,7 +67,7 @@ class MetricConfig:
         _check_bin_count(self.activation_bins, "activation_bins")
         _check_bin_count(self.complexity_bins, "complexity_bins")
         if self.divergence not in KINDS:
-            raise ValueError(f"unknown divergence {self.divergence!r}")
+            raise ValueError(f"divergence must be one of {', '.join(KINDS)}, got {self.divergence!r}")
         _check_alpha(self.alpha)
         _check_pair_count(self.fragmentation_pairs, "fragmentation_pairs")
 

@@ -2,15 +2,19 @@
 
 For the same inputs, flags and seed, ``report.json``, ``samples.csv``,
 ``skips.json`` and ``enriched.jsonl`` must stay byte-identical.  ``CASES``
-runs the CLI in-process on the committed fixtures and on conftest's
+runs the CLI in-process on the committed fixtures and on ``world.py``'s
 synthetic world, with relative paths, because ``report.json`` echoes the
 input paths.  ``test_golden.py`` compares their digests with
 ``golden.json``.
 
-To rewrite the digests after a change that alters output on purpose (and
-say why in CHANGES.md), run from the repository root::
+To compare them without pytest, say under another interpreter, run from the
+repository root::
 
-    PYTHONPATH=src python tests/golden.py --write
+    PYTHONPATH=src python tests/golden.py --check
+
+which exits 1 and names each case, and each of its files, whose digest
+differs.  To rewrite the digests after a change that alters output on
+purpose (and say why in CHANGES.md), run ``golden.py --write``.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import FIXTURES, build_synthetic_world
+from world import FIXTURES, build_synthetic_world
 from newsdiv import evaluate
 from newsdiv.cli import main
 
@@ -93,7 +97,8 @@ def run(name: str) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
 
 
-def write() -> None:
+def compute() -> dict[str, dict[str, str]]:
+    """The digests of every case, run in one temporary directory."""
     default = evaluate._FORK_MIN_WORK
     digests = {}
     with tempfile.TemporaryDirectory() as root:
@@ -107,10 +112,29 @@ def write() -> None:
         finally:
             evaluate._FORK_MIN_WORK = default
             os.chdir(cwd)
-    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return digests
+
+
+def check() -> int:
+    """Recompute every case and print each one whose digests differ from
+    ``golden.json``'s, with the files that differ; 1 if any does, else 0."""
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    actual = compute()
+    differ = 0
+    for name in sorted(expected.keys() | actual.keys()):
+        old, new = expected.get(name, {}), actual.get(name, {})
+        changed = sorted(file for file in old.keys() | new.keys() if old.get(file) != new.get(file))
+        if changed:
+            differ += 1
+            print(f"{name} differs from golden.json in {', '.join(changed)}")
+    print(f"{len(actual) - differ} of {len(actual)} cases match golden.json on Python {sys.version.split()[0]}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
-    write()
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(json.dumps(compute(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    elif sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    else:
+        sys.exit(f"usage: {sys.argv[0]} --check | --write")

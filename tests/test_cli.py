@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy
 import pytest
 
 import newsdiv
@@ -810,6 +811,26 @@ class TestOptionsCheckedByTheLibrary:
     def test_validate_names_a_count_that_is_no_int(self, fields, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             RunConfig(**fields).validate()
+
+    # Each check that compares a value checks its type in the same
+    # condition; these raised the comparison's TypeError, naming no field.
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"cutoffs": ["2"]}, "cutoff must be an int or None, got '2'"),
+            ({"alpha": "0.1"}, "alpha must be in [0, 0.5), got '0.1'"),
+            ({"tau": "x"}, "tau must be in (0, 1], got 'x'"),
+            ({"alpha": True}, "alpha must be in [0, 0.5), got True"),
+            ({"tau": True}, "tau must be in (0, 1], got True"),
+        ],
+    )
+    def test_validate_names_a_value_of_the_wrong_type(self, fields, message):
+        with pytest.raises(InputError) as caught:
+            RunConfig(**fields).validate()
+        assert str(caught.value) == message
+
+    def test_validate_accepts_float_subclasses(self):
+        RunConfig(alpha=numpy.float64(0.1), tau=numpy.float64(0.5)).validate()
 
     @pytest.mark.parametrize(
         "command,flags",

@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -252,6 +253,15 @@ class TestChaining:
     def test_tau_range_enforced(self):
         with pytest.raises(ValueError):
             chain_articles([], tau=0.0)
+
+    # Compared as given: "x" raised a bare TypeError and True read as 1.0.
+    @pytest.mark.parametrize("tau", ["x", True])
+    def test_tau_must_be_a_number(self, tau):
+        with pytest.raises(ValueError, match=re.escape(f"tau must be in (0, 1], got {tau!r}")):
+            chain_articles([], tau=tau)
+
+    def test_tau_may_be_a_float_subclass(self):
+        assert chain_articles([], tau=numpy.float64(0.5)) == {}
 
     @pytest.mark.parametrize("window", [-1.0, math.nan])
     def test_negative_or_nan_window_rejected(self, window):

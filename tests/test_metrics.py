@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy
 import pytest
 from scipy.spatial import distance as sp_distance
 
@@ -108,6 +110,17 @@ class TestCalibrationComplexity:
     def test_alpha_checked_by_the_config(self, alpha):
         with pytest.raises(ValueError, match="alpha must be in"):
             MetricConfig(alpha=alpha)
+
+    # Compared as given: "0.1" raised a bare TypeError from the comparison.
+    @pytest.mark.parametrize("alpha", ["0.1", True, None])
+    def test_alpha_must_be_a_number(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be in [0, 0.5), got {alpha!r}")):
+            MetricConfig(alpha=alpha)
+
+    # A float subclass such as numpy.float64 is a float, and an int a number.
+    @pytest.mark.parametrize("alpha", [numpy.float64(0.25), 0])
+    def test_alpha_may_be_a_float_subclass_or_an_int(self, alpha):
+        assert MetricConfig(alpha=alpha).alpha == alpha
 
 
 class TestFragmentation:
