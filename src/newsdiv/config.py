@@ -134,18 +134,19 @@ class RunConfig:
         return config
 
     def validate(self) -> None:
-        """Check the recommender names here, as no library object owns them,
-        and every other value with the library's own checks, whose ValueError
-        or TypeError becomes an input error."""
-        for name in self.recommenders:
-            if name not in BASELINES:
-                raise InputError(f"recommender must be one of {', '.join(BASELINES)}, got {name!r}")
+        """Check the recommender names and ``window_days`` here, as no library
+        object owns them, and every other value with the library's own
+        checks, whose ValueError or TypeError becomes an input error."""
+        if not (isinstance(self.window_days, float) or type(self.window_days) is int):
+            raise InputError(f"window_days must be a number, got {self.window_days!r}")
         try:
+            check_distinct("recommenders", self.recommenders)
+            for name in self.recommenders:
+                if name not in BASELINES:
+                    raise InputError(f"recommender must be one of {', '.join(BASELINES)}, got {name!r}")
             check_pool(self.pool)
             self.metric_config()
-            build_grid([self.divergence], [self.weighting], self.cutoffs)
             build_grid(self.divergences, self.weightings, self.cutoffs)
-            check_distinct("recommenders", self.recommenders)
             check_chaining(self.tau, self.window_seconds)
         except (ValueError, TypeError) as exc:
             raise InputError(str(exc)) from None

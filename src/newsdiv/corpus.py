@@ -374,54 +374,43 @@ def load_behaviors(path: str | Path) -> list[ImpressionLog]:
     return impressions
 
 
-def load_recommendations(
-    path: str | Path,
-    impressions: Sequence[ImpressionLog] | None = None,
-) -> list[RecommendationList]:
-    """Parse a recommendations JSON-lines file, optionally validating it
-    against the impressions it will be joined with.
+def join_list(
+    impressions: Mapping[str, ImpressionLog], impression_id: str, user_id: str, ranked: Sequence[str]
+) -> ImpressionLog:
+    """The impression in ``impressions`` (by id) of a list ranking ``ranked``
+    for ``user_id``: the one check of the join rules, that it exists, belongs
+    to that user and has every ranked item in its candidate pool."""
+    impression = impressions.get(impression_id)
+    if impression is None:
+        raise ValidationError(f"unknown impression id {impression_id!r}")
+    if user_id != impression.user_id:
+        raise ValidationError(
+            f"user id {user_id!r} does not match impression {impression_id!r}, which belongs to {impression.user_id!r}"
+        )
+    if outside := set(ranked).difference(impression.candidate_ids):
+        outside = ", ".join(sorted(outside))
+        raise ValidationError(f"items outside the candidate pool of impression {impression_id!r}: {outside}")
+    return impression
 
-    Validation rejects a ranking that is not a list of ids, an impression
-    listed twice and (given the impressions) unknown impression ids, a user
-    id other than the impression's and items outside the impression's
-    candidate pool; :class:`RecommendationList` rejects a repeated item.
-    """
+
+def load_recommendations(path: str | Path, impressions: Sequence[ImpressionLog]) -> list[RecommendationList]:
+    """Parse a recommendations JSON-lines file and join each list with its
+    impression (:func:`join_list`).  An impression listed twice is rejected
+    here, and :class:`RecommendationList` rejects a repeated item."""
     path = Path(path)
-    by_impression = (
-        {impression.impression_id: impression for impression in impressions}
-        if impressions is not None
-        else None
-    )
+    by_impression = {impression.impression_id: impression for impression in impressions}
+    shared = {article_id: article_id for impression in impressions for article_id in impression.candidate_ids}
     recommendations = []
     first_lines: dict[str, int] = {}
-    shared = id_table()
     for record in read_records(path):
         with at_line(path, record.lineno):
             impression_id = record.get("impression_id", str)
             user_id = record.get("user_id", str)
             ranked = record.get("ranked_item_ids", list)
             check_unique(first_lines, impression_id, record.lineno, "impression id")
-            if by_impression is not None:
-                impression = by_impression.get(impression_id)
-                if impression is None:
-                    raise ValidationError(f"unknown impression id {impression_id!r}")
-                if user_id != impression.user_id:
-                    raise ValidationError(
-                        f"user id {user_id!r} does not match impression "
-                        f"{impression_id!r}, which belongs to {impression.user_id!r}"
-                    )
-                pool = {article_id: article_id for article_id in impression.candidate_ids}
-                outside = sorted({item for item in ranked if item not in pool})
-                if outside:
-                    raise ValidationError(
-                        f"items outside the candidate pool of impression {impression_id!r}: {', '.join(outside)}"
-                    )
-                impression_id, user_id = impression.impression_id, impression.user_id
-                ranked = [pool[item] for item in ranked]
-            else:
-                user_id = shared(user_id)
-                ranked = [shared(item) for item in ranked]
-            recommendations.append(RecommendationList(impression_id, user_id, tuple(ranked)))
+            impression = join_list(by_impression, impression_id, user_id, ranked)
+            ranked = tuple(map(shared.__getitem__, ranked))
+            recommendations.append(RecommendationList(impression.impression_id, impression.user_id, ranked))
     return recommendations
 
 

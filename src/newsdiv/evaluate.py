@@ -12,7 +12,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, NoReturn, Sequence
 
-from .corpus import Corpus, ImpressionLog, RecommendationList
+from .corpus import Corpus, ImpressionLog, RecommendationList, join_list
 from .distrib import (
     DiscreteDistribution,
     KeyFn,
@@ -123,7 +123,9 @@ def build_grid(
 
 
 def check_distinct(name: str, values: Sequence) -> None:
-    """A ValueError if the list of ``name`` repeats a value."""
+    """A TypeError if the list of ``name`` is one string, a ValueError if it repeats a value."""
+    if isinstance(values, str):
+        raise TypeError(f"{name} must be a list, got {values!r}")
     if len(set(values)) < len(values):
         raise ValueError(f"{name} list has duplicates: {', '.join(map(str, values))}")
 
@@ -151,7 +153,10 @@ class _ArticleKeys(dict):
         self.key_fns = key_fns
 
     def __missing__(self, article_id: str) -> tuple[_KeyPairs, ...]:
-        article = self.corpus[article_id]
+        try:
+            article = self.corpus[article_id]
+        except KeyError:
+            raise ValidationError(f"impressions reference an article missing from the catalog: {article_id}") from None
         keys = tuple(_key_pairs(key_fn(article)) for key_fn in self.key_fns)
         self[article_id] = keys
         return keys
@@ -358,9 +363,10 @@ def evaluate_recommendations(
     ``sample_fragmentation`` returned them.  Fragmentation partners are
     drawn from the seed once per distinct set of listed impressions and
     reused across the grid and the recommenders, keeping grid points
-    comparable.  An impression id that occurs twice in ``impressions`` or
-    in one source's lists is a ValidationError; an empty grid, or one that
-    repeats a point (whose samples would count twice), is a ValueError.
+    comparable.  A ValidationError rejects an impression id that occurs
+    twice in ``impressions`` or in one source's lists, a list that breaks a
+    join rule (``corpus.join_list``) and an article missing from
+    ``corpus``; an empty grid, or one that repeats a point, is a ValueError.
 
     A large run (at least ``_FORK_MIN_WORK`` lists x grid points) on more
     than one CPU scores the per-impression metrics in a child made with
@@ -385,17 +391,13 @@ def evaluate_recommendations(
     # impression are built once for all of its lists and then dropped.
     lists_by_impression: dict[str, list[tuple[str, RecommendationList]]] = {}
     for source in sorted(recommendations_by_source):
-        listed = set()
         for recommendation in recommendations_by_source[source]:
             impression_id = recommendation.impression_id
-            if impression_id not in by_impression:
-                raise ValidationError(
-                    f"recommendation references unknown impression {impression_id!r}"
-                )
-            if impression_id in listed:
+            join_list(by_impression, impression_id, recommendation.user_id, recommendation.ranked_items)
+            entries = lists_by_impression.setdefault(impression_id, [])
+            if entries and entries[-1][0] == source:  # sources come one after another
                 raise ValidationError(f"{source} lists impression {impression_id!r} twice")
-            listed.add(impression_id)
-            lists_by_impression.setdefault(impression_id, []).append((source, recommendation))
+            entries.append((source, recommendation))
 
     finish = _start_scoring(
         _Scorer(corpus, metric_config, grid_configs, day_pools, recommendations_by_source),

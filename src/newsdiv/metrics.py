@@ -33,7 +33,7 @@ from .distrib import (
 from .divergence import KINDS, js, kl
 from .divergence import smooth_pair  # noqa: F401 - perfbench/child.py wraps metrics.smooth_pair
 from .errors import EmptyDistributionError
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 METRIC_NAMES = (
     "calibration_topic",
@@ -70,6 +70,7 @@ class MetricConfig:
             raise ValueError(f"divergence must be one of {', '.join(KINDS)}, got {self.divergence!r}")
         _check_alpha(self.alpha)
         _check_pair_count(self.fragmentation_pairs, "fragmentation_pairs")
+        check_seed(self.seed)
 
 
 # One check per count, made by MetricConfig and by each function given one.

@@ -4,6 +4,11 @@ from __future__ import annotations
 import random
 
 
+def check_seed(seed: int) -> None:
+    if type(seed) is not int:  # a seed of 1.0 would draw other values than 1
+        raise TypeError(f"seed must be an int, got {seed!r}")
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Derive a 64-bit child seed from a master seed and a purpose label.
 
@@ -11,6 +16,7 @@ def derive_seed(seed: int, label: str) -> int:
     recommender of impression I17) never shifts when another purpose draws
     more or fewer values.
     """
+    check_seed(seed)
     # Imported here: hashlib maps OpenSSL, which a run that draws no seed
     # (enrich, the loaders, the popular recommender) never needs.
     import hashlib

@@ -822,6 +822,15 @@ class TestOptionsCheckedByTheLibrary:
             ({"tau": "x"}, "tau must be in (0, 1], got 'x'"),
             ({"alpha": True}, "alpha must be in [0, 0.5), got True"),
             ({"tau": True}, "tau must be in (0, 1], got True"),
+            # These passed, or failed with a message that named no field.
+            ({"seed": "x"}, "seed must be an int, got 'x'"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"seed": 1.5}, "seed must be an int, got 1.5"),
+            ({"window_days": "x"}, "window_days must be a number, got 'x'"),
+            ({"window_days": True}, "window_days must be a number, got True"),
+            # A list field given as one string was read letter by letter.
+            ({"recommenders": "random"}, "recommenders must be a list, got 'random'"),
+            ({"divergences": "js"}, "divergences must be a list, got 'js'"),
         ],
     )
     def test_validate_names_a_value_of_the_wrong_type(self, fields, message):

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 import pytest
 
@@ -20,6 +21,9 @@ from newsdiv.corpus import (
     write_records,
 )
 from newsdiv.errors import ParseError, ValidationError
+from newsdiv.evaluate import build_grid, evaluate_recommendations
+from newsdiv.metrics import MetricConfig
+from newsdiv.recommenders import recommend_random
 from writers import dump_behaviors, dump_catalog, format_time
 
 
@@ -173,7 +177,7 @@ RECORD_RULES = [
     "record,fields,line,error,message", RECORD_RULES,
     ids=["empty-id", "pipe-in-id", "no-candidates", "repeated-candidates", "repeated-items"],
 )
-def test_record_rule_holds_in_code_and_in_its_file(tmp_path, record, fields, line, error, message):
+def test_record_rule_holds_in_code_and_in_its_file(tmp_path, fixture_paths, record, fields, line, error, message):
     """Built in code, the record gives the bare message; its loader adds
     only ``path:lineno: ``."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -181,11 +185,41 @@ def test_record_rule_holds_in_code_and_in_its_file(tmp_path, record, fields, lin
     if record is ImpressionLog:
         path, first, load = tmp_path / "behaviors.tsv", FIRST_IMPRESSION, load_behaviors
     else:
-        path, load = tmp_path / "recs.jsonl", load_recommendations
-        first = '{"impression_id": "I0", "user_id": "U0", "ranked_item_ids": ["N1"]}\n'
+        impressions = load_behaviors(fixture_paths["behaviors"])
+        path, load = tmp_path / "recs.jsonl", partial(load_recommendations, impressions=impressions)
+        first = '{"impression_id": "I2", "user_id": "U2", "ranked_item_ids": ["N5"]}\n'
     path.write_text(first + line + "\n", encoding="utf-8")
     with pytest.raises(error, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         load(path)
+
+
+# Each rule that joins a list with its impression in the fixture behaviors:
+# (the fields that break it, over RANKING's, and its message).
+JOIN_RULES = [
+    ({"impression_id": "I9", "user_id": "U9"}, "unknown impression id 'I9'"),
+    ({"user_id": "U2"}, "user id 'U2' does not match impression 'I1', which belongs to 'U1'"),
+    # More than one item outside, as the message lists them from a set.
+    ({"ranked_items": ("N9", "N1", "N7", "N8", "N2")},
+     "items outside the candidate pool of impression 'I1': N7, N8, N9"),
+]
+
+
+@pytest.mark.parametrize("fields,message", JOIN_RULES, ids=["unknown-impression", "other-user", "outside-the-pool"])
+def test_join_rule_holds_in_code_and_in_its_file(tmp_path, fixture_paths, fields, message):
+    """A recommendations file gives the message after ``path:lineno: ``; a
+    list built in code and given to ``evaluate_recommendations`` gives it
+    bare, instead of being scored."""
+    impressions = load_behaviors(fixture_paths["behaviors"])
+    recommendation = RecommendationList(**{**RANKING, **fields})
+    path = tmp_path / "recs.jsonl"
+    dump_recommendations([RecommendationList("I2", "U2", ("N5",)), recommendation], path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load_recommendations(path, impressions)
+    lists = {"random": [recommend_random(impression, 1) for impression in impressions], "external:x": [recommendation]}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        evaluate_recommendations(
+            load_catalog(fixture_paths["news"]), impressions, lists, MetricConfig(), build_grid(["js"], ["mrr"], [0])
+        )
 
 
 @pytest.mark.parametrize("load", [load_catalog, load_behaviors])
@@ -224,21 +258,7 @@ class TestSharedIds:
             pool = {id(article_id) for article_id in impression.candidate_ids}
             assert {id(item) for item in recommendation.ranked_items} <= pool
 
-    def test_unvalidated_lists_hold_one_object_per_id(self, tmp_path):
-        path = tmp_path / "recs.jsonl"
-        lines = [
-            {"impression_id": "I1", "user_id": "U1", "ranked_item_ids": ["N1", "N2"]},
-            {"impression_id": "I2", "user_id": "U1", "ranked_item_ids": ["N2", "N1"]},
-        ]
-        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-        first, second = load_recommendations(path)
-        assert first.user_id is second.user_id
-        assert [id(item) for item in first.ranked_items] == [id(item) for item in reversed(second.ranked_items)]
-
-    @pytest.mark.parametrize(
-        "role,load,ids",
-        [("behaviors", load_behaviors, "candidate_ids"), ("recommendations", load_recommendations, "ranked_items")],
-    )
+    @pytest.mark.parametrize("role,load,ids", [("behaviors", load_behaviors, "candidate_ids")])
     def test_no_table_outlives_a_load(self, fixture_paths, role, load, ids):
         first, second = load(fixture_paths[role]), load(fixture_paths[role])
         article_id, other = (getattr(loaded[0], ids)[0] for loaded in (first, second))
@@ -316,13 +336,8 @@ class TestLoadRecommendations:
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_recommendations(path, impressions)
 
-    def test_unvalidated_load_skips_pool_checks(self, fixture_paths):
-        recs = load_recommendations(fixture_paths["recommendations"])
-        assert len(recs) == 3
-
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_duplicate_impression_rejected_with_line(self, tmp_path, fixture_paths, validate):
-        impressions = load_behaviors(fixture_paths["behaviors"]) if validate else None
+    def test_duplicate_impression_rejected_with_line(self, tmp_path, fixture_paths):
+        impressions = load_behaviors(fixture_paths["behaviors"])
         path = tmp_path / "recs.jsonl"
         lines = [
             {"impression_id": "I1", "user_id": "U1", "ranked_item_ids": ["N1"]},
@@ -335,7 +350,7 @@ class TestLoadRecommendations:
             load_recommendations(path, impressions)
 
     @pytest.mark.parametrize("ranked", ['"N1N2"', '{"N1": 1}', '["N1", 2]', "null"])
-    def test_ranking_must_be_a_list_of_ids(self, tmp_path, ranked):
+    def test_ranking_must_be_a_list_of_ids(self, tmp_path, fixture_paths, ranked):
         path = tmp_path / "recs.jsonl"
         path.write_text(
             '{"impression_id": "I1", "user_id": "U1", "ranked_item_ids": []}\n'
@@ -343,15 +358,15 @@ class TestLoadRecommendations:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=re.escape(f"{path}:2: 'ranked_item_ids' must be a list of strings")):
-            load_recommendations(path)
+            load_recommendations(path, load_behaviors(fixture_paths["behaviors"]))
 
-    def test_impression_id_must_be_a_string(self, tmp_path):
+    def test_impression_id_must_be_a_string(self, tmp_path, fixture_paths):
         path = tmp_path / "recs.jsonl"
         path.write_text('{"impression_id": ["I1"], "user_id": "U1", "ranked_item_ids": []}\n', encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(f"{path}:1: 'impression_id' must be a string")):
-            load_recommendations(path)
+            load_recommendations(path, load_behaviors(fixture_paths["behaviors"]))
 
-    def test_every_duplicate_item_named_once(self, tmp_path):
+    def test_every_duplicate_item_named_once(self, tmp_path, fixture_paths):
         path = tmp_path / "recs.jsonl"
         path.write_text(
             json.dumps(
@@ -362,7 +377,7 @@ class TestLoadRecommendations:
         )
         message = f"{path}:1: duplicate items in ranking for impression 'I1': N1, N3"
         with pytest.raises(ValidationError, match=re.escape(message) + "$"):
-            load_recommendations(path)
+            load_recommendations(path, load_behaviors(fixture_paths["behaviors"]))
 
 
 class TestRoundTrip:

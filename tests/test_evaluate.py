@@ -99,6 +99,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="list has duplicates"):
             build_grid(divergences, weightings, cutoffs)
 
+    # Each letter was read as a name: "divergence must be one of ..., got 'j'".
+    def test_list_given_as_one_string_rejected(self):
+        with pytest.raises(TypeError, match="^divergences must be a list, got 'js'$"):
+            build_grid("js", ["mrr"], [0])
+
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             build_grid(["js"], ["mrr"], [-3])
@@ -444,58 +449,100 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_worlds(self, data):
-        draw = data.draw
-        article_ids = [f"A{index}" for index in range(draw(st.integers(1, 7)))]
-        corpus = Corpus()
-        for article_id in article_ids:
-            corpus.add(
-                Article(
-                    id=article_id,
-                    subcategory=draw(st.sampled_from(["", "s1", "s2", "s3"])),
-                    complexity=draw(st.none() | st.floats(0.0, 100.0)),
-                    activation=draw(st.none() | st.floats(0.0, 1.0)),
-                    chain_id=draw(st.sampled_from([None, "c1", "c2", "c3"])),
-                    political_actors=frozenset(draw(st.lists(st.sampled_from(["p1", "p2", "p3"]), max_size=3))),
-                    minority_mentions=draw(st.integers(0, 3)),
-                    majority_mentions=draw(st.integers(0, 3)),
-                )
-            )
-        impressions = []
-        for index in range(draw(st.integers(1, 5))):
-            candidates = draw(st.lists(st.sampled_from(article_ids), min_size=1, max_size=6, unique=True))
-            impressions.append(
-                ImpressionLog(
-                    impression_id=f"I{index}",
-                    user_id=f"U{index}",
-                    time=draw(st.sampled_from([0.0, 3600.0, 86400.0, 200000.0])),
-                    candidates=tuple((article_id, draw(st.booleans())) for article_id in candidates),
-                    history=tuple(draw(st.lists(st.sampled_from(article_ids), max_size=5))),
-                )
-            )
-        recommendations = {}
-        sources = st.lists(st.sampled_from(["random", "popular", "external:x"]), min_size=1, unique=True)
-        for source in draw(sources):
-            listed = draw(st.lists(st.sampled_from(impressions), unique_by=lambda i: i.impression_id))
-            recommendations[source] = [
-                RecommendationList(
-                    impression_id=impression.impression_id,
-                    user_id=impression.user_id,
-                    ranked_items=tuple(draw(st.permutations(impression.candidate_ids)))[
-                        : draw(st.integers(0, 6))
-                    ],
-                )
-                for impression in listed
-            ]
-        grid = draw(st.lists(st.sampled_from(FULL_GRID), min_size=1, max_size=6, unique=True))
-        config = MetricConfig(
-            alpha=draw(st.sampled_from([0.0, 0.001, 0.2])),
-            activation_bins=draw(st.integers(2, 5)),
-            complexity_bins=draw(st.integers(2, 5)),
-            fragmentation_pairs=draw(st.integers(1, 3)),
-            seed=draw(st.integers(0, 3)),
+        assert_matches_reference(*draw_world(data.draw))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_joins(self, data):
+        """Lists built in code, some for an unknown impression, for another
+        user or with an item outside the pool, over impressions that may name
+        articles outside the corpus: the result is the reference's, or a
+        ValidationError where an input is at fault, never another error."""
+        corpus, impressions, recommendations, config, grid, pool = draw_world(data.draw, faults=True)
+        by_id = {impression.impression_id: impression for impression in impressions}
+        joins_break = any(
+            impression is None
+            or recommendation.user_id != impression.user_id
+            or not set(recommendation.ranked_items) <= set(impression.candidate_ids)
+            for lists in recommendations.values()
+            for recommendation in lists
+            for impression in [by_id.get(recommendation.impression_id)]
         )
-        pool = draw(st.sampled_from(["impression", "daily"]))
-        assert_matches_reference(corpus, impressions, recommendations, config, grid, pool)
+        try:
+            expected = reference_evaluation(corpus, impressions, recommendations, config, grid, pool)
+        except KeyError:  # the reference met an article outside the corpus, or an unknown impression
+            expected = None
+        if joins_break or expected is None:
+            with pytest.raises(ValidationError):
+                evaluate_recommendations(corpus, impressions, recommendations, config, grid, pool=pool)
+        else:
+            result = evaluate_recommendations(corpus, impressions, recommendations, config, grid, pool=pool)
+            assert (result.samples, result.skips) == expected
+
+
+def draw_world(draw, faults=False):
+    """A small random world drawn with ``draw``: corpus, impressions, lists
+    by source, config, grid and pool.  With ``faults``, histories and pools
+    may name the articles Z1 and Z2, which are not in the corpus, and a list
+    may be for the unknown impression I9, for user U9, or rank an article
+    outside its pool; alpha is then never 0."""
+    article_ids = [f"A{index}" for index in range(draw(st.integers(1, 7)))]
+    corpus = Corpus()
+    for article_id in article_ids:
+        corpus.add(
+            Article(
+                id=article_id,
+                subcategory=draw(st.sampled_from(["", "s1", "s2", "s3"])),
+                complexity=draw(st.none() | st.floats(0.0, 100.0)),
+                activation=draw(st.none() | st.floats(0.0, 1.0)),
+                chain_id=draw(st.sampled_from([None, "c1", "c2", "c3"])),
+                political_actors=frozenset(draw(st.lists(st.sampled_from(["p1", "p2", "p3"]), max_size=3))),
+                minority_mentions=draw(st.integers(0, 3)),
+                majority_mentions=draw(st.integers(0, 3)),
+            )
+        )
+    named = article_ids + ["Z1", "Z2"] if faults and draw(st.booleans()) else article_ids
+    impressions = []
+    for index in range(draw(st.integers(1, 5))):
+        candidates = draw(st.lists(st.sampled_from(named), min_size=1, max_size=6, unique=True))
+        impressions.append(
+            ImpressionLog(
+                impression_id=f"I{index}",
+                user_id=f"U{index}",
+                time=draw(st.sampled_from([0.0, 3600.0, 86400.0, 200000.0])),
+                candidates=tuple((article_id, draw(st.booleans())) for article_id in candidates),
+                history=tuple(draw(st.lists(st.sampled_from(named), max_size=5))),
+            )
+        )
+    recommendations = {}
+    sources = st.lists(st.sampled_from(["random", "popular", "external:x"]), min_size=1, unique=True)
+    for source in draw(sources):
+        listed = draw(st.lists(st.sampled_from(impressions), unique_by=lambda i: i.impression_id))
+        recommendations[source] = [
+            RecommendationList(
+                impression_id=impression.impression_id,
+                user_id=impression.user_id,
+                ranked_items=tuple(draw(st.permutations(impression.candidate_ids)))[: draw(st.integers(0, 6))],
+            )
+            for impression in listed
+        ]
+        if faults and recommendations[source] and draw(st.booleans()):
+            index = draw(st.integers(0, len(recommendations[source]) - 1))
+            fault = draw(
+                st.sampled_from([{"impression_id": "I9"}, {"user_id": "U9"}])
+                | st.sampled_from(named).map(lambda item: {"ranked_items": (item,)})
+            )
+            recommendations[source][index] = replace(recommendations[source][index], **fault)
+    grid = draw(st.lists(st.sampled_from(FULL_GRID), min_size=1, max_size=6, unique=True))
+    config = MetricConfig(
+        alpha=draw(st.sampled_from([0.001, 0.2] if faults else [0.0, 0.001, 0.2])),
+        activation_bins=draw(st.integers(2, 5)),
+        complexity_bins=draw(st.integers(2, 5)),
+        fragmentation_pairs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 3)),
+    )
+    pool = draw(st.sampled_from(["impression", "daily"]))
+    return corpus, impressions, recommendations, config, grid, pool
 
 
 def column_bytes(result):
@@ -541,6 +588,21 @@ class TestForkedScoring:
     @staticmethod
     def inline(monkeypatch):
         monkeypatch.setattr(evaluate_module, "_FORK_MIN_WORK", sys.maxsize)
+
+    def test_missing_article_named_by_the_child_as_inline(self, world, forks, monkeypatch):
+        """An article outside the corpus raised a bare KeyError; the child
+        raises this ValidationError, and the caller gets it as inline."""
+        corpus, impressions = world
+        recommendations = self.recommendations(corpus, impressions)
+        impressions = [replace(impressions[0], history=("H9", *impressions[0].history)), *impressions[1:]]
+        message = "^impressions reference an article missing from the catalog: H9$"
+        with pytest.raises(ValidationError, match=message):
+            evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=3), self.GRID)
+        assert len(forks) == 1
+        self.inline(monkeypatch)
+        with pytest.raises(ValidationError, match=message):
+            evaluate_recommendations(corpus, impressions, recommendations, MetricConfig(seed=3), self.GRID)
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("pool", POOLS)
     def test_same_result_as_inline(self, world, forks, monkeypatch, pool):
@@ -711,7 +773,7 @@ class TestDuplicateImpressions:
 
     def test_list_for_an_unknown_impression_rejected(self, world):
         corpus, impressions = world
-        with pytest.raises(ValidationError, match="^recommendation references unknown impression 'I0000'$"):
+        with pytest.raises(ValidationError, match="^unknown impression id 'I0000'$"):
             evaluate_recommendations(
                 corpus,
                 impressions[1:],

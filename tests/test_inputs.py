@@ -217,7 +217,6 @@ def test_every_loader_returns_or_names_the_line(fixture_paths, fuzz_dir, line, c
         lambda: load_catalog(path),
         lambda: load_catalog(fixture_paths["news"], path),
         lambda: load_behaviors(path),
-        lambda: load_recommendations(path),
         lambda: load_recommendations(path, impressions),
         lambda: load_lexicon(path),
         lambda: load_gazetteer(path),

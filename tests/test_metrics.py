@@ -106,6 +106,13 @@ class TestCalibrationComplexity:
         with pytest.raises(TypeError, match=f"^fragmentation_pairs must be an int, got {pairs!r}$"):
             MetricConfig(fragmentation_pairs=pairs)
 
+    # Accepted: a float seed draws other partners than the int, and a bool
+    # is taken as 0 or 1.
+    @pytest.mark.parametrize("seed", [1.0, True, "1"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {seed!r}$"):
+            MetricConfig(seed=seed)
+
     @pytest.mark.parametrize("alpha", [-0.1, 0.5, math.nan])
     def test_alpha_checked_by_the_config(self, alpha):
         with pytest.raises(ValueError, match="alpha must be in"):
@@ -328,6 +335,11 @@ class TestFragmentationSampling:
     def test_partner_draw_checks_its_count_as_the_config_does(self, pairs):
         with pytest.raises(TypeError, match=f"^pairs must be an int, got {pairs!r}$"):
             fragmentation_partners(["I0", "I1", "I2"], pairs=pairs, seed=3)
+
+    # seed=1.0 paired b with c, seed=1 pairs b with a.
+    def test_partner_draw_checks_its_seed_as_the_config_does(self):
+        with pytest.raises(TypeError, match="^seed must be an int, got 1.0$"):
+            fragmentation_partners(["a", "b", "c"], 1, 1.0)
 
     @pytest.mark.parametrize("n, pairs", [(2, 5), (3, 1), (7, 5), (500, 600), (3600, 5), (6000, 2)])
     def test_partner_draw_matches_list_copy_reference(self, n, pairs):

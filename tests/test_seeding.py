@@ -17,6 +17,13 @@ def test_derive_seed_is_the_first_eight_bytes_of_a_sha256(seed, label):
     assert derive_seed(seed, label) == int.from_bytes(digest[:8], "big")
 
 
+@pytest.mark.parametrize("seed", [1.0, False, "7"])
+def test_derive_seed_takes_an_int_only(seed):
+    """1.0 formats as "1.0" and draws other values than 1; False as "False"."""
+    with pytest.raises(TypeError, match=f"^seed must be an int, got {seed!r}$"):
+        derive_seed(seed, "random:I17")
+
+
 def test_enrich_leaves_hashlib_unloaded(tmp_path):
     """hashlib maps OpenSSL (about 3 MB of RSS); it is imported when the
     first seed is drawn, so a run that draws none does without it."""
