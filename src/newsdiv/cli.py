@@ -15,7 +15,7 @@ from .config import _PATH_KEYS, OPTION_KEYS, RunConfig, load_config_file
 from .distrib import SCHEMES
 from .divergence import KINDS
 from .enrich import dump_enriched, enrich_corpus, load_gazetteer, load_lexicon, load_sidecar
-from .errors import InputError
+from .errors import InputError, UnsmoothedZeroError
 from .evaluate import POOLS, build_grid, evaluate_recommendations
 from .recommenders import BASELINES, click_counts, recommend_popular, recommend_random
 from .report import aggregate_rows, write_report, write_samples_csv, write_skips
@@ -224,9 +224,12 @@ def _cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
             + ", ".join(missing[:10])
         )
     recommendations = _gather_recommendations(config, impressions)
-    result = evaluate_recommendations(
-        corpus, impressions, recommendations, config.metric_config(), grid, pool=config.pool
-    )
+    try:
+        result = evaluate_recommendations(
+            corpus, impressions, recommendations, config.metric_config(), grid, pool=config.pool
+        )
+    except UnsmoothedZeroError as exc:  # under alpha > 0, whose smoothing underflowed
+        raise InputError(f"--alpha {config.alpha!r} is too small for kl to smooth these inputs ({exc})") from None
     out_dir = config.out
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = aggregate_rows(result.rows)

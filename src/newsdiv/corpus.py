@@ -24,7 +24,7 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -36,6 +36,9 @@ _CANDIDATE_RE = re.compile(r"^(.+)-([01])$")
 # The ranges [0, top] of the two continuous article fields.
 ACTIVATION_TOP = 1.0
 COMPLEXITY_TOP = 100.0
+# The largest mention count: a float holds each count up to it exactly, and
+# a distribution's sums of such counts stay finite.
+MENTIONS_TOP = 2**53
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class Article:
             raise ValidationError(f"activation out of range [0, {ACTIVATION_TOP:g}]: {self.activation!r}")
         if self.minority_mentions < 0 or self.majority_mentions < 0:
             raise ValidationError("mention counts must be >= 0")
+        if max(self.minority_mentions, self.majority_mentions) > MENTIONS_TOP:
+            raise ValidationError(f"mention counts must be <= {MENTIONS_TOP}")
 
     def text(self) -> str:
         """Title and body joined; the text enrichment operates on."""
@@ -97,6 +102,8 @@ class ImpressionLog:
     time: float
     candidates: tuple[tuple[str, bool], ...]
     history: tuple[str, ...]
+    # The pool's ids in pool order, derived once by the check below.
+    candidate_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.impression_id:
@@ -106,12 +113,9 @@ class ImpressionLog:
                                   "which separates the ids of a fragmentation pair")
         if not self.candidates:
             raise ParseError(f"impression {self.impression_id!r} has no candidates")
+        object.__setattr__(self, "candidate_ids", tuple(article_id for article_id, _ in self.candidates))
         if repeated := _repeated(self.candidate_ids):
             raise ValidationError(f"duplicate candidates in the pool of impression {self.impression_id!r}: {repeated}")
-
-    @property
-    def candidate_ids(self) -> tuple[str, ...]:
-        return tuple(article_id for article_id, _ in self.candidates)
 
     @property
     def clicked_ids(self) -> tuple[str, ...]:

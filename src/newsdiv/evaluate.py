@@ -13,22 +13,16 @@ from operator import itemgetter
 from typing import Callable, Mapping, NoReturn, Sequence
 
 from .corpus import Corpus, ImpressionLog, RecommendationList, join_list
-from .distrib import (
-    DiscreteDistribution,
-    KeyFn,
-    RankWeighting,
-    _from_pairs,
-    _history_from_pairs,
-    _key_pairs,
-    _KeyPairs,
-)
-from .errors import EmptyDistributionError, ValidationError
+from .distrib import KeyFn, RankWeighting, _from_pairs, _history_from_pairs, _key_pairs, _KeyPairs
+from .errors import ValidationError
 from .metrics import (
     HISTORY_METRICS,
     SUPPLY_WEIGHTING,
     MetricConfig,
     Rows,
+    Side,
     _sample,
+    build_side,
     metric_keys,
     new_rows,
     sample_fragmentation,
@@ -40,10 +34,6 @@ POOLS = ("impression", "daily")
 def check_pool(pool: str) -> None:
     if pool not in POOLS:
         raise ValueError(f"unknown pool {pool!r}")
-
-
-# A distribution built for scoring, or the reason that it could not be built.
-_Built = DiscreteDistribution | str
 
 
 @dataclass(frozen=True)
@@ -162,16 +152,6 @@ class _ArticleKeys(dict):
         return keys
 
 
-def _built(build: Callable, rows: Sequence[_KeyPairs], weighting: RankWeighting) -> _Built:
-    """``build``'s distribution of ``rows`` (one per item, in rank order)
-    under ``weighting``, or the reason that the samples using it are
-    skipped."""
-    try:
-        return build(weighting.ranked(rows), weighting.scheme)
-    except EmptyDistributionError as exc:
-        return str(exc)
-
-
 class _Scorer:
     """The per-impression samples and skips of every list, with each piece
     of work done once: article keys once per run; the keys of a history, a
@@ -200,7 +180,7 @@ class _Scorer:
             groups.setdefault(config.weighting, []).append((config, keys))
         self.groups = [(weighting, weighting.without_cutoff(), points) for weighting, points in groups.items()]
         self.day_pools = day_pools
-        self.day_contexts: dict[str, list[_Built | None]] = {}
+        self.day_contexts: dict[str, list[Side | None]] = {}
         self.rows: defaultdict[tuple, Rows] = defaultdict(new_rows)
 
     def _columns(self, ids: Sequence[str]) -> tuple[Sequence[_KeyPairs], ...]:
@@ -208,11 +188,11 @@ class _Scorer:
         keys = self.keys
         return tuple(zip(*[keys[article_id] for article_id in ids])) or ((),) * len(self.metrics)
 
-    def _pool_contexts(self, ids: Sequence[str]) -> list[_Built | None]:
+    def _pool_contexts(self, ids: Sequence[str]) -> list[Side | None]:
         """Per metric, its context over the pool of articles ``ids``, not
         discounted; None for the metrics whose context is the history."""
         return [
-            None if metric in HISTORY_METRICS else _built(_from_pairs, column, SUPPLY_WEIGHTING)
+            None if metric in HISTORY_METRICS else build_side(_from_pairs, column, SUPPLY_WEIGHTING.scheme)
             for metric, column in zip(self.metrics, self._columns(ids))
         ]
 
@@ -230,11 +210,11 @@ class _Scorer:
         else:
             pool_contexts = self._pool_contexts(impression.candidate_ids)
         history = self._columns(impression.history)
-        contexts_by_weighting: dict[RankWeighting, list[_Built]] = {}
+        contexts_by_weighting: dict[RankWeighting, list[Side]] = {}
         for _, history_weighting, _ in self.groups:
             if history_weighting not in contexts_by_weighting:
                 contexts_by_weighting[history_weighting] = [
-                    _built(_history_from_pairs, column, history_weighting) if context is None else context
+                    build_side(_history_from_pairs, column, history_weighting.scheme) if context is None else context
                     for column, context in zip(history, pool_contexts)
                 ]
         impression_id = impression.impression_id
@@ -243,7 +223,7 @@ class _Scorer:
             columns = self._columns(recommendation.ranked_items)
             for weighting, history_weighting, points in self.groups:
                 contexts = contexts_by_weighting[history_weighting]
-                lists = [_built(_from_pairs, column, weighting) for column in columns]
+                lists = [build_side(_from_pairs, weighting.ranked(column), weighting.scheme) for column in columns]
                 for config, keys in points:
                     for key, context, recommended in zip(keys[source], contexts, lists):
                         rows[key].add(impression_id, _sample(context, recommended, config))
@@ -419,7 +399,7 @@ def evaluate_recommendations(
                 recommendation.impression_id: [corpus[article_id] for article_id in recommendation.ranked_items]
                 for recommendation in recommendations_by_source[source]
             }
-            chains: dict[RankWeighting, dict[str, _Built]] = {}
+            chains: dict[RankWeighting, dict[str, Side]] = {}
             for point, config in grid_configs:
                 rows[_config_key("fragmentation", source, point)] = sample_fragmentation(
                     ranked_articles, config, chains, draws

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, MutableSequence, NamedTuple, Sequence
+from typing import Callable, Mapping, MutableSequence, NamedTuple, Sequence
 
 from .corpus import ACTIVATION_TOP, COMPLEXITY_TOP, Article
 from .distrib import (
@@ -159,9 +159,23 @@ def pair_divergence(
     return kl(context, recommendation, alpha, symmetrize=symmetrize_kl)
 
 
+# One side of a pair: a distribution built for scoring, or the reason that
+# the samples using it are skipped.
+Side = DiscreteDistribution | str
+
+
+def build_side(build: Callable[..., DiscreteDistribution], *args) -> Side:
+    """``build(*args)``, or the reason of the EmptyDistributionError it
+    raises: the one place where a build that fails becomes a skip."""
+    try:
+        return build(*args)
+    except EmptyDistributionError as exc:
+        return str(exc)
+
+
 def _sample(
-    context: DiscreteDistribution | str,
-    recommendation: DiscreteDistribution | str,
+    context: Side,
+    recommendation: Side,
     config: MetricConfig,
     symmetrize_kl: bool = False,
 ) -> float | str:
@@ -308,7 +322,7 @@ def new_rows() -> Rows:
 def sample_fragmentation(
     recommendations: Mapping[str, Sequence[Article]],
     config: MetricConfig,
-    built: dict[RankWeighting, dict[str, DiscreteDistribution | str]] | None = None,
+    built: dict[RankWeighting, dict[str, Side]] | None = None,
     draws: dict[tuple, list[tuple[str, str, str]]] | None = None,
 ) -> Rows:
     """Fragmentation over seeded partner pairs of recommendation lists.
@@ -335,12 +349,8 @@ def sample_fragmentation(
         return rows
     chains = {} if built is None else built.setdefault(config.weighting, {})
     for list_id, articles in recommendations.items():
-        if list_id in chains:
-            continue
-        try:
-            chains[list_id] = build_distribution(articles, chain_keys, config.weighting)
-        except EmptyDistributionError as exc:
-            chains[list_id] = str(exc)
+        if list_id not in chains:
+            chains[list_id] = build_side(build_distribution, articles, chain_keys, config.weighting)
     ids = tuple(sorted(recommendations))
     draw_key = (ids, config.fragmentation_pairs, config.seed)
     drawn = None if draws is None else draws.get(draw_key)

@@ -245,6 +245,26 @@ class TestEvaluateVariants:
     def test_js_at_alpha_zero_still_runs(self, fixture_paths, tmp_path, command, flags):
         assert main([command, *base_args(fixture_paths, tmp_path / "out", "--alpha", "0", *flags)]) == 0
 
+    @pytest.mark.parametrize(
+        "command,flags,key",
+        [
+            ("evaluate", ["--divergence", "kl"], "chain_000001"),
+            ("sensitivity", [], "chain_000001"),
+            ("evaluate", ["--divergence", "kl", "--cutoffs", "1"], "bin_3"),
+        ],
+    )
+    def test_kl_alpha_whose_smoothing_underflows_is_an_input_error(
+        self, fixture_paths, tmp_path, capsys, command, flags, key
+    ):
+        # 5e-324 times a mass of 0.5 or less rounds to 0.0, so one smoothed
+        # side keeps a zero where the other has mass: kl raised, exit 2.
+        out_dir = tmp_path / "out"
+        assert main([command, *base_args(fixture_paths, out_dir, "--alpha", "5e-324", *flags)]) == 1
+        err = capsys.readouterr().err
+        message = f"error: --alpha 5e-324 is too small for kl to smooth these inputs (unsmoothed zero at key {key!r})\n"
+        assert err.endswith(message) and "internal error" not in err
+        assert not out_dir.exists()
+
     def test_kl_smooths_each_scored_pair_once(self, fixture_paths, tmp_path, monkeypatch):
         # symmetrized KL (fragmentation) takes both directions from one alignment
         calls = {"smoothed": 0, "kl": 0, "pairs": 0}

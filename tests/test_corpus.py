@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
 
@@ -286,6 +287,25 @@ class TestTimes:
             parse_time("last tuesday")
 
 
+class TestCandidateIds:
+    POOL = (("N1", True), ("N2", False))
+
+    def test_derived_once_when_the_impression_checks_itself(self):
+        impression = ImpressionLog("I1", "U1", 0.0, self.POOL, ("N3",))
+        assert impression.candidate_ids == ("N1", "N2")
+        assert impression.candidate_ids is impression.candidate_ids
+        assert replace(impression, candidates=(("N4", False),)).candidate_ids == ("N4",)
+
+    def test_equality_repr_and_hash_see_only_the_given_fields(self):
+        impression = ImpressionLog("I1", "U1", 0.0, self.POOL, ("N3",))
+        assert impression == ImpressionLog("I1", "U1", 0.0, self.POOL, ("N3",))
+        assert repr(impression) == (
+            "ImpressionLog(impression_id='I1', user_id='U1', time=0.0, "
+            "candidates=(('N1', True), ('N2', False)), history=('N3',))"
+        )
+        assert hash(impression) == hash(("I1", "U1", 0.0, self.POOL, ("N3",)))
+
+
 class TestLoadRecommendations:
     def test_accepted_with_rank_order(self, fixture_paths):
         impressions = load_behaviors(fixture_paths["behaviors"])
@@ -452,3 +472,18 @@ class TestInvariants:
             Article(id="A", minority_mentions=-1)
         with pytest.raises(ValidationError):
             Article(id="")
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"minority_mentions": 10**400},
+            {"majority_mentions": 2**53 + 1},
+            {"minority_mentions": 10**308, "majority_mentions": 10**308},
+        ],
+    )
+    def test_mention_counts_stay_within_what_a_float_sums(self, counts):
+        with pytest.raises(ValidationError, match=f"^mention counts must be <= {2**53}$"):
+            Article(id="A", **counts)
+
+    def test_mention_counts_up_to_2_53_are_kept(self):
+        assert Article(id="A", minority_mentions=2**53, majority_mentions=2**53).majority_mentions == 2**53

@@ -671,12 +671,11 @@ class TestForkedScoring:
         assert str(forked.value) == str(inline.value)
 
     def test_cli_internal_error_unchanged(self, synthetic_world, forks, monkeypatch, capsys, tmp_path):
-        # The CLI rejects kl at --alpha 0, so the per-impression half fails
-        # here as unsmoothed kl would.
-        def unsmoothed(*args):
-            raise UnsmoothedZeroError("unsmoothed zero at key 'politics'")
+        # The per-impression half fails as no input can make it fail.
+        def failing(*args):
+            raise RuntimeError("scoring failed at key 'politics'")
 
-        monkeypatch.setattr(evaluate_module, "_sample", unsmoothed)
+        monkeypatch.setattr(evaluate_module, "_sample", failing)
         args = [
             "evaluate",
             *(arg for role in ("news", "bodies", "behaviors") for arg in (f"--{role}", str(synthetic_world[role]))),
@@ -688,7 +687,21 @@ class TestForkedScoring:
         self.inline(monkeypatch)
         assert main([*args, "--out", str(tmp_path / "inline")]) == 2
         assert capsys.readouterr().err == forked
-        assert forked == "internal error: UnsmoothedZeroError: unsmoothed zero at key 'politics'\n"
+        assert forked == "internal error: RuntimeError: scoring failed at key 'politics'\n"
+
+    def test_cli_alpha_underflow_in_the_child_is_an_input_error(self, fixture_paths, forks, capsys, tmp_path):
+        # At cutoff 1 the per-impression half, which the child scores, meets
+        # kl's unsmoothed zero before fragmentation does.
+        roles = ("news", "bodies", "behaviors", "lexicon", "gazetteer")
+        args = [
+            "evaluate",
+            *(arg for role in roles for arg in (f"--{role}", str(fixture_paths[role]))),
+            "--divergence", "kl", "--cutoffs", "1", "--alpha", "5e-324", "--out", str(tmp_path / "out"),
+        ]
+        assert main(args) == 1
+        assert len(forks) == 1
+        message = "error: --alpha 5e-324 is too small for kl to smooth these inputs (unsmoothed zero at key 'bin_3')\n"
+        assert capsys.readouterr().err.endswith(message)
 
     def test_fork_failure_falls_back_to_inline(self, world, forks, monkeypatch):
         corpus, impressions = world

@@ -76,6 +76,20 @@ def test_out_of_range_sidecar_value_stays_a_warning(fixture_paths, tmp_path, cap
     assert f"warning: {path}:2: record for 'N2' rejected (complexity out of range" in err
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"minority_mentions": 10**400}, {"minority_mentions": 10**308, "majority_mentions": 10**308}],
+    ids=["int-too-large-for-a-float", "sum-overflows"],
+)
+def test_mention_count_too_large_to_sum_is_a_rejected_record(fixture_paths, tmp_path, capsys, counts):
+    path = tmp_path / "sidecar.jsonl"
+    path.write_text(json.dumps({"id": "N1", **counts}) + "\n", encoding="utf-8")
+    inputs = [arg for role in ("news", "behaviors") for arg in (f"--{role}", str(fixture_paths[role]))]
+    assert main(["evaluate", *inputs, "--sidecar", str(path), "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: {path}:1: record for 'N1' rejected (mention counts must be <= {2**53})" in err
+
+
 class TestRecordGet:
     def record(self, **fields):
         return Record(3, fields)
